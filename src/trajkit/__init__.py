@@ -18,7 +18,7 @@ from .matrix import (DISTANCE_NAMES, DistanceMatrix, DistanceSpec,
 from .shape import (discrete_frechet, frechet, frechet_candidates,
                     frechet_feasible, hausdorff, owd, sowd)
 from .sspd import spd, sspd
-from .warping import WarpingParams, dlcss, dtw, edr, erp, lcss
+from .warping import dlcss, dtw, edr, erp, lcss
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "Segment",
     "Trajectory",
     "TrajectoryDataset",
-    "WarpingParams",
     "affinity_propagation",
     "compute_matrix",
     "criteria",

@@ -133,7 +133,10 @@ def scaling_exponents(
     """Least-squares slope of log(wall time) against log(n) per distance.
 
     A full matrix over n trajectories covers n(n-1)/2 pairs, so the slope
-    should sit near 2 when per-pair cost is independent of n.
+    should sit near 2 when per-pair cost is independent of n. Each repeat
+    times every size once, in turn, and each size keeps its best time over
+    the repeats, so a host that slows down or speeds up during the
+    measurement affects all sizes alike rather than tilting the slope.
     """
     if len(ns) < 2:
         raise ValueError("scaling_exponents: need at least two dataset sizes")
@@ -142,7 +145,10 @@ def scaling_exponents(
     log_n = np.log(np.array(ns, dtype=np.float64))
     for name in distances:
         spec = _spec(name)
-        times = [_time_matrix(datasets[n], spec, 1, repeats) for n in ns]
-        slope = np.polyfit(log_n, np.log(np.array(times)), 1)[0]
+        times = np.full(len(ns), np.inf)
+        for _ in range(repeats):
+            for pos, n in enumerate(ns):
+                times[pos] = min(times[pos], _time_matrix(datasets[n], spec, 1, 1))
+        slope = np.polyfit(log_n, np.log(times), 1)[0]
         out[name] = float(slope)
     return out

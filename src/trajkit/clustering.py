@@ -9,6 +9,7 @@ and within-like criteria.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,6 +106,10 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     rewritten by the linkage's recurrence. Ward runs the recurrence on
     squared dissimilarities and reports square-rooted heights.
 
+    Each row's nearest active column is cached, so a merge costs O(n)
+    plus a rescan of the rows whose cached neighbour took part in it,
+    instead of a scan of the whole matrix.
+
     Parameters
     ----------
     m : DistanceMatrix or square ndarray
@@ -120,47 +125,62 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     n = vals.shape[0]
     if n < 1:
         raise ValueError("hca: empty matrix")
-    work = vals.astype(np.float64).copy()
+    work = vals.astype(np.float64)
     if linkage == "ward":
         work = work ** 2
     np.fill_diagonal(work, np.inf)
     sizes = np.ones(n)
-    cluster_id = np.arange(n)
-    active = np.ones(n, dtype=bool)
+    cluster_id = list(range(n))
+    # nn[r] is the lowest column holding row r's minimum and nd[r] that
+    # minimum, so argmin(nd) and then nn pick the pair that a row-major
+    # argmin over the whole matrix would. A retired row or column holds inf,
+    # and a retired row has nn = -1, which no update or rescan matches.
+    nn = work.argmin(axis=1)
+    nd = work.min(axis=1)
     steps: list[MergeStep] = []
     inversions: list[int] = []
     prev_height = -np.inf
     for step in range(n - 1):
-        i, j = divmod(int(np.argmin(work)), n)
-        if i > j:  # argmin scans row-major, so (i, j) is already the
-            i, j = j, i  # lowest-index pair; this is only a safeguard.
+        i = int(nd.argmin())
+        j = int(nn[i])
+        if i > j:  # only a non-symmetric ndarray puts the pair below the diagonal
+            i, j = j, i
+            nn[i] = j  # row i is rewritten below, so it must be rescanned
         d_ij = work[i, j]
-        height = float(np.sqrt(max(d_ij, 0.0))) if linkage == "ward" else float(d_ij)
-        others = active.copy()
-        others[i] = others[j] = False
-        k = np.flatnonzero(others)
+        height = math.sqrt(max(d_ij, 0.0)) if linkage == "ward" else float(d_ij)
+        si, sj = sizes[i], sizes[j]
+        # Whole rows: inf in the retired columns stays inf.
         if linkage == "single":
-            new = np.minimum(work[i, k], work[j, k])
+            new = np.minimum(work[i], work[j])
         elif linkage == "average":
-            new = (sizes[i] * work[i, k] + sizes[j] * work[j, k]) / (sizes[i] + sizes[j])
+            new = (si * work[i] + sj * work[j]) / (si + sj)
         elif linkage == "weighted":
-            new = 0.5 * (work[i, k] + work[j, k])
+            new = 0.5 * (work[i] + work[j])
         else:  # ward, on squared dissimilarities
-            tot = sizes[i] + sizes[j] + sizes[k]
-            new = ((sizes[i] + sizes[k]) * work[i, k]
-                   + (sizes[j] + sizes[k]) * work[j, k]
-                   - sizes[k] * d_ij) / tot
-        work[i, k] = new
-        work[k, i] = new
-        work[j, :] = np.inf
+            new = ((si + sizes) * work[i] + (sj + sizes) * work[j] - sizes * d_ij) / (si + sj + sizes)
+        new[i] = new[j] = np.inf
+        work[i] = new
+        work[:, i] = new
+        work[j] = np.inf
         work[:, j] = np.inf
-        steps.append(MergeStep(int(cluster_id[i]), int(cluster_id[j]), height, int(sizes[i] + sizes[j])))
+        steps.append(MergeStep(cluster_id[i], cluster_id[j], height, int(si + sj)))
         if height < prev_height - 1e-12 * max(1.0, abs(prev_height)):
             inversions.append(step)
         prev_height = height
-        sizes[i] += sizes[j]
-        active[j] = False
+        sizes[i] += sj
         cluster_id[i] = n + step
+        nn[j] = -1
+        nd[j] = np.inf
+        # Outside rows i and j only column i changed (column j went to inf),
+        # so a row whose neighbour was neither keeps it unless the new entry
+        # beats it or ties it from a lower column; the others are rescanned.
+        stale = ((nn == i) | (nn == j)).nonzero()[0]
+        closer = ((new < nd) | ((new == nd) & (nn > i))).nonzero()[0]
+        nn[closer] = i
+        nd[closer] = new[closer]
+        rows = work.take(stale, axis=0)
+        nn[stale] = rows.argmin(axis=1)
+        nd[stale] = rows.min(axis=1)
     return Dendrogram(n, linkage, tuple(steps), tuple(inversions))
 
 
@@ -234,12 +254,12 @@ def affinity_propagation(
         raise ValueError("affinity_propagation: damping must be strictly inside (0, 1)")
     if max_iter < 1 or convergence_iter < 1:
         raise ValueError("affinity_propagation: iteration counts must be positive")
-    s = -vals.astype(np.float64)
+    s = -vals
     if isinstance(preference, str):
         if preference != "min-similarity":
             raise ValueError(f"unknown preference {preference!r}; pass a number or 'min-similarity'")
-        off = ~np.eye(n, dtype=bool)
-        pref = float(s[off].min()) if n > 1 else 0.0
+        np.fill_diagonal(s, np.inf)
+        pref = float(s.min()) if n > 1 else 0.0
     else:
         pref = float(preference)
     np.fill_diagonal(s, pref)
@@ -248,33 +268,41 @@ def affinity_propagation(
         assignment = ClusterAssignment(np.zeros(1, dtype=np.int64), 1)
         return APResult(assignment, (0,), True, 0, pref)
 
+    # The messages live in resp and avail and every update is written into
+    # them or into tmp: with s these are the only n x n arrays. Each damped
+    # update is damping * old + (1 - damping) * new, done in place.
     idx = np.arange(n)
     resp = np.zeros((n, n))
     avail = np.zeros((n, n))
+    tmp = np.empty((n, n))
     stable = 0
     last_ex: np.ndarray | None = None
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         # responsibilities: how strongly i favours k over the runner-up
-        tmp = avail + s
+        np.add(avail, s, out=tmp)
         best = tmp.argmax(axis=1)
         best_val = tmp[idx, best]
         tmp[idx, best] = -np.inf
         second_val = tmp.max(axis=1)
-        r_new = s - best_val[:, None]
-        r_new[idx, best] = s[idx, best] - second_val
-        resp = damping * resp + (1.0 - damping) * r_new
+        np.subtract(s, best_val[:, None], out=tmp)
+        tmp[idx, best] = s[idx, best] - second_val
+        resp *= damping
+        tmp *= 1.0 - damping
+        resp += tmp
         # availabilities: pooled positive support for k as an exemplar
-        rp = np.maximum(resp, 0.0)
-        np.fill_diagonal(rp, np.diag(resp))
-        a_new = rp.sum(axis=0)[None, :] - rp
-        diag_a = np.diag(a_new).copy()
-        a_new = np.minimum(a_new, 0.0)
-        np.fill_diagonal(a_new, diag_a)
-        avail = damping * avail + (1.0 - damping) * a_new
+        np.maximum(resp, 0.0, out=tmp)
+        np.fill_diagonal(tmp, resp.diagonal())
+        np.subtract(tmp.sum(axis=0), tmp, out=tmp)
+        diag_a = tmp.diagonal().copy()
+        np.minimum(tmp, 0.0, out=tmp)
+        np.fill_diagonal(tmp, diag_a)
+        avail *= damping
+        tmp *= 1.0 - damping
+        avail += tmp
 
-        ex = np.flatnonzero(np.diag(avail) + np.diag(resp) > 0.0)
+        ex = np.flatnonzero(avail.diagonal() + resp.diagonal() > 0.0)
         if last_ex is not None and ex.size and np.array_equal(ex, last_ex):
             stable += 1
             if stable >= convergence_iter:
@@ -284,16 +312,15 @@ def affinity_propagation(
             stable = 0
         last_ex = ex
 
-    ex = np.flatnonzero(np.diag(avail) + np.diag(resp) > 0.0)
+    ex = np.flatnonzero(avail.diagonal() + resp.diagonal() > 0.0)
     if ex.size == 0:
         # Fully degenerate message state (e.g. all-equal similarities):
         # fall back to the single strongest self-evidence, flagged as
         # unconverged.
-        ex = np.array([int(np.argmax(np.diag(avail) + np.diag(resp)))])
+        ex = np.array([int(np.argmax(avail.diagonal() + resp.diagonal()))])
         converged = False
 
-    score = (s + avail)[:, ex]
-    labels = score.argmax(axis=1)
+    labels = (s[:, ex] + avail[:, ex]).argmax(axis=1)
     for pos, e in enumerate(ex):
         labels[e] = pos
     return APResult(
@@ -310,13 +337,22 @@ def exemplar(indices: Sequence[int], m: DistanceMatrix | np.ndarray) -> int:
     distance to the rest of the subset is smallest (ties break to the
     lowest item index)."""
     vals = _values(m)
-    idx = np.unique(np.asarray(list(indices), dtype=np.int64))
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+    idx = np.asarray(indices, dtype=np.int64).ravel()
+    if not (idx[1:] > idx[:-1]).all():
+        idx = np.unique(idx)
     if idx.size == 0:
         raise ValueError("exemplar: empty index set")
     if idx[0] < 0 or idx[-1] >= vals.shape[0]:
         raise ValueError("exemplar: index out of range")
-    sub = vals[np.ix_(idx, idx)]
-    return int(idx[int(np.argmin(sub.sum(axis=1)))])
+    if idx.size == vals.shape[0]:
+        # Sorted, unique and in range, so idx is every item: the matrix
+        # itself, laid out as the gathered copy would be, gives the same sums.
+        sub = np.ascontiguousarray(vals)
+    else:
+        sub = vals[idx[:, None], idx]
+    return int(idx[int(sub.sum(axis=1).argmin())])
 
 
 @dataclass(frozen=True)
@@ -341,7 +377,7 @@ def criteria(assignment: ClusterAssignment, m: DistanceMatrix | np.ndarray) -> C
     labels = assignment.labels
     if labels.size != vals.shape[0]:
         raise ValueError("criteria: assignment and matrix size differ")
-    global_ex = exemplar(range(vals.shape[0]), vals)
+    global_ex = exemplar(np.arange(vals.shape[0]), vals)
     bc = 0.0
     wc = 0.0
     exs: list[int] = []

@@ -191,25 +191,66 @@ class DistanceMatrix:
 _WORKER: dict = {}
 
 
+def _eval_pairs(func: Callable, points: Sequence[np.ndarray], start: int, end: int
+                ) -> tuple[list, tuple[int, int, Exception] | None]:
+    """Distances of the pairs at flat positions start..end-1 of the row-major
+    strict upper triangle. Stops at the first pair that raises and returns
+    it, with the exception, after the values computed before it."""
+    n = len(points)
+    i, k = 0, start
+    while i < n - 1 and k >= n - 1 - i:  # row i holds n - 1 - i pairs
+        k -= n - 1 - i
+        i += 1
+    j = i + 1 + k
+    out = []
+    for _ in range(start, end):
+        try:
+            out.append(func(points[i], points[j]))
+        except Exception as exc:  # handed back with the offending pair attached
+            return out, (i, j, exc)
+        j += 1
+        if j == n:
+            i += 1
+            j = i + 1
+    return out, None
+
+
 def _init_worker(points: list[np.ndarray], spec: DistanceSpec) -> None:
     _WORKER["points"] = points
     _WORKER["func"] = pair_function(spec)
-    _WORKER["pairs"] = np.column_stack(np.triu_indices(len(points), 1)).astype(np.int64)
 
 
-def _eval_range(args: tuple[int, int]) -> tuple[int, list]:
+def _eval_range(args: tuple[int, int]) -> tuple[int, list, tuple[int, int, str] | None]:
     start, end = args
-    points = _WORKER["points"]
-    func = _WORKER["func"]
-    pairs = _WORKER["pairs"]
-    out = []
-    for k in range(start, end):
-        i, j = int(pairs[k, 0]), int(pairs[k, 1])
-        try:
-            out.append(func(points[i], points[j]))
-        except Exception as exc:  # propagated with the offending pair attached
-            return start, [("error", i, j, f"{type(exc).__name__}: {exc}")]
-    return start, out
+    out, failure = _eval_pairs(_WORKER["func"], _WORKER["points"], start, end)
+    if failure is not None:
+        i, j, exc = failure
+        failure = (i, j, f"{type(exc).__name__}: {exc}")
+    return start, out, failure
+
+
+def _triangle(values: np.ndarray) -> np.ndarray:
+    """The row-major strict upper triangle of a square matrix, as little-endian float64."""
+    n = values.shape[0]
+    flat = np.empty(n * (n - 1) // 2, dtype="<f8")
+    start = 0
+    for i in range(n - 1):
+        flat[start:start + n - 1 - i] = values[i, i + 1:]
+        start += n - 1 - i
+    return flat
+
+
+def _square(flat: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix, zero on the diagonal, whose row-major
+    strict upper triangle is ``flat``."""
+    values = np.zeros((n, n))
+    start = 0
+    for i in range(n - 1):
+        row = flat[start:start + n - 1 - i]
+        values[i, i + 1:] = row
+        values[i + 1:, i] = row
+        start += n - 1 - i
+    return values
 
 
 def compute_matrix(
@@ -245,37 +286,30 @@ def compute_matrix(
         raise ValueError("compute_matrix: workers must be >= 1")
     points = [t.points for t in trajectories]
     n = len(points)
-    iu = np.triu_indices(n, 1)
-    pairs = np.column_stack(iu).astype(np.int64)
-    npairs = pairs.shape[0]
+    npairs = n * (n - 1) // 2
     flat = np.zeros(npairs)
-    func = pair_function(spec)
 
     if workers == 1 or npairs == 0:
-        for k in range(npairs):
-            i, j = int(pairs[k, 0]), int(pairs[k, 1])
-            try:
-                flat[k] = func(points[i], points[j])
-            except Exception as exc:
-                raise MatrixComputationError(
-                    f"{spec.render()} failed on pair ({ids[i]!r}, {ids[j]!r}): {exc}") from exc
+        out, failure = _eval_pairs(pair_function(spec), points, 0, npairs)
+        if failure is not None:
+            i, j, exc = failure
+            raise MatrixComputationError(
+                f"{spec.render()} failed on pair ({ids[i]!r}, {ids[j]!r}): {exc}") from exc
+        flat[:] = out
     else:
         chunk = max(1, npairs // (workers * 8))
         ranges = [(s, min(s + chunk, npairs)) for s in range(0, npairs, chunk)]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers, initializer=_init_worker, initargs=(points, spec)) as pool:
-            for start, out in pool.imap_unordered(_eval_range, ranges):
-                if out and isinstance(out[0], tuple) and out[0][0] == "error":
-                    _, i, j, msg = out[0]
+            for start, out, failure in pool.imap_unordered(_eval_range, ranges):
+                if failure is not None:
+                    i, j, msg = failure
                     pool.terminate()
                     raise MatrixComputationError(
                         f"{spec.render()} failed on pair ({ids[i]!r}, {ids[j]!r}): {msg}")
                 flat[start:start + len(out)] = out
 
-    values = np.zeros((n, n))
-    values[iu] = flat
-    values[(iu[1], iu[0])] = flat
-    return DistanceMatrix(tuple(ids), spec.render(), values)
+    return DistanceMatrix(tuple(ids), spec.render(), _square(flat, n))
 
 
 # -- persistence -------------------------------------------------------------
@@ -291,10 +325,8 @@ def save_matrix(m: DistanceMatrix, path: str | Path) -> None:
         blob += struct.pack("<I", len(raw)) + raw
     raw = m.kind.encode("utf-8")
     blob += struct.pack("<I", len(raw)) + raw
-    iu = np.triu_indices(n, 1)
-    tri = np.ascontiguousarray(m.values[iu], dtype="<f8")
-    blob += tri.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    blob += _triangle(m.values).tobytes()
+    Path(path).write_bytes(blob)
 
 
 def _take(blob: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
@@ -326,12 +358,7 @@ def load_matrix(path: str | Path) -> DistanceMatrix:
     raw, offset = _take(blob, offset, 8 * npairs, "value payload")
     if offset != len(blob):
         raise MatrixFormatError(f"trailing bytes after matrix payload ({len(blob) - offset})")
-    flat = np.frombuffer(raw, dtype="<f8")
-    values = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    values[iu] = flat
-    values[(iu[1], iu[0])] = flat
-    return DistanceMatrix(tuple(ids), kind, values)
+    return DistanceMatrix(tuple(ids), kind, _square(np.frombuffer(raw, dtype="<f8"), n))
 
 
 def save_matrix_csv(m: DistanceMatrix, path: str | Path) -> None:

@@ -9,30 +9,11 @@ rejected where the distance is unbounded (DTW, DLCSS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import as_points
 
-__all__ = ["WarpingParams", "dlcss", "dtw", "edr", "erp", "lcss"]
-
-
-@dataclass(frozen=True)
-class WarpingParams:
-    """Parameter bundle for the alignment distances.
-
-    Attributes
-    ----------
-    eps_d : float or None
-        Spatial matching threshold for LCSS/EDR (two points match when
-        their Euclidean distance is strictly below ``eps_d``).
-    gap_point : tuple or None
-        Reference point g used by ERP to price unmatched points.
-    """
-
-    eps_d: float | None = None
-    gap_point: tuple[float, float] | None = None
+__all__ = ["dlcss", "dtw", "edr", "erp", "lcss"]
 
 
 def _pair_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -244,3 +244,114 @@ def brute_criteria(labels, values) -> tuple[float, float]:
         bc += values[global_ex][ex]
         wc += sum(values[ex][i] for i in members) / len(members)
     return bc, wc
+
+
+# Frozen copies of the O(n^3) Lance-Williams agglomeration and the
+# allocating affinity propagation that trajkit shipped before both were
+# rewritten for speed. The rewrites must reproduce them bit for bit.
+
+
+def scan_hca(values, linkage: str):
+    """Lance-Williams agglomeration that scans the whole working matrix at
+    every merge. Returns the merges as (left, right, height, size) tuples
+    and the indices of the steps whose height dropped."""
+    work = np.asarray(values, dtype=np.float64).copy()
+    n = work.shape[0]
+    if linkage == "ward":
+        work = work ** 2
+    np.fill_diagonal(work, np.inf)
+    sizes = np.ones(n)
+    cluster_id = np.arange(n)
+    active = np.ones(n, dtype=bool)
+    steps = []
+    inversions = []
+    prev_height = -np.inf
+    for step in range(n - 1):
+        i, j = divmod(int(np.argmin(work)), n)
+        if i > j:
+            i, j = j, i
+        d_ij = work[i, j]
+        height = float(np.sqrt(max(d_ij, 0.0))) if linkage == "ward" else float(d_ij)
+        others = active.copy()
+        others[i] = others[j] = False
+        k = np.flatnonzero(others)
+        if linkage == "single":
+            new = np.minimum(work[i, k], work[j, k])
+        elif linkage == "average":
+            new = (sizes[i] * work[i, k] + sizes[j] * work[j, k]) / (sizes[i] + sizes[j])
+        elif linkage == "weighted":
+            new = 0.5 * (work[i, k] + work[j, k])
+        else:
+            tot = sizes[i] + sizes[j] + sizes[k]
+            new = ((sizes[i] + sizes[k]) * work[i, k]
+                   + (sizes[j] + sizes[k]) * work[j, k]
+                   - sizes[k] * d_ij) / tot
+        work[i, k] = new
+        work[k, i] = new
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+        steps.append((int(cluster_id[i]), int(cluster_id[j]), height, int(sizes[i] + sizes[j])))
+        if height < prev_height - 1e-12 * max(1.0, abs(prev_height)):
+            inversions.append(step)
+        prev_height = height
+        sizes[i] += sizes[j]
+        active[j] = False
+        cluster_id[i] = n + step
+    return steps, inversions
+
+
+def allocating_ap(values, preference="min-similarity", damping=0.5, max_iter=1000,
+                  convergence_iter=15):
+    """Affinity propagation with fresh arrays for every message update.
+    Returns (labels, exemplars, converged, n_iter, preference_value)."""
+    vals = np.asarray(values, dtype=np.float64)
+    n = vals.shape[0]
+    s = -vals.astype(np.float64)
+    if preference == "min-similarity":
+        off = ~np.eye(n, dtype=bool)
+        pref = float(s[off].min()) if n > 1 else 0.0
+    else:
+        pref = float(preference)
+    np.fill_diagonal(s, pref)
+    if n == 1:
+        return [0], [0], True, 0, pref
+    idx = np.arange(n)
+    resp = np.zeros((n, n))
+    avail = np.zeros((n, n))
+    stable = 0
+    last_ex = None
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        tmp = avail + s
+        best = tmp.argmax(axis=1)
+        best_val = tmp[idx, best]
+        tmp[idx, best] = -np.inf
+        second_val = tmp.max(axis=1)
+        r_new = s - best_val[:, None]
+        r_new[idx, best] = s[idx, best] - second_val
+        resp = damping * resp + (1.0 - damping) * r_new
+        rp = np.maximum(resp, 0.0)
+        np.fill_diagonal(rp, np.diag(resp))
+        a_new = rp.sum(axis=0)[None, :] - rp
+        diag_a = np.diag(a_new).copy()
+        a_new = np.minimum(a_new, 0.0)
+        np.fill_diagonal(a_new, diag_a)
+        avail = damping * avail + (1.0 - damping) * a_new
+        ex = np.flatnonzero(np.diag(avail) + np.diag(resp) > 0.0)
+        if last_ex is not None and ex.size and np.array_equal(ex, last_ex):
+            stable += 1
+            if stable >= convergence_iter:
+                converged = True
+                break
+        else:
+            stable = 0
+        last_ex = ex
+    ex = np.flatnonzero(np.diag(avail) + np.diag(resp) > 0.0)
+    if ex.size == 0:
+        ex = np.array([int(np.argmax(np.diag(avail) + np.diag(resp)))])
+        converged = False
+    labels = (s + avail)[:, ex].argmax(axis=1)
+    for pos, e in enumerate(ex):
+        labels[e] = pos
+    return labels.tolist(), [int(e) for e in ex], converged, n_iter, pref

@@ -1,5 +1,6 @@
 import numpy as np
 
+from trajkit import bench
 from trajkit.bench import (BENCH_DISTANCES, random_walk_trajectories,
                            run_bench, scaling_exponents)
 
@@ -33,3 +34,12 @@ def test_scaling_exponent_shape():
                                distances=("dtw",), repeats=1)
     assert set(slopes) == {"dtw"}
     assert np.isfinite(slopes["dtw"])
+
+
+def test_scaling_times_the_sizes_in_turn(monkeypatch):
+    # Each repeat visits every size once, so drift of the host's speed
+    # during the measurement reaches all sizes alike.
+    sizes = []
+    monkeypatch.setattr(bench, "compute_matrix", lambda trajs, spec, workers: sizes.append(len(trajs)))
+    scaling_exponents(ns=(4, 8, 16), points=6, seed=0, distances=("dtw",), repeats=3)
+    assert sizes == [4, 8, 16] * 3

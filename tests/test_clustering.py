@@ -7,13 +7,18 @@ from trajkit import (APResult, ClusterAssignment, CriteriaResult, affinity_propa
                      criteria, cut, exemplar, hca)
 from trajkit.clustering import LINKAGES
 
-from oracles import brute_criteria, brute_exemplar
+from oracles import allocating_ap, brute_criteria, brute_exemplar, scan_hca
 
 
 def random_dissimilarity(rng: np.random.Generator, n: int) -> np.ndarray:
     """Symmetric zero-diagonal matrix with continuous (hence distinct) entries."""
     tri = rng.uniform(1.0, 10.0, n * (n - 1) // 2)
     return squareform(tri)
+
+
+def tied_dissimilarity(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Symmetric zero-diagonal matrix with entries in {1, 2, 3}: ties everywhere."""
+    return squareform(rng.integers(1, 4, n * (n - 1) // 2).astype(np.float64))
 
 
 def partition(labels) -> set[frozenset]:
@@ -120,6 +125,29 @@ class TestHca:
         assert (dg.steps[0].left, dg.steps[0].right) == (0, 1)
         assert (dg.steps[1].left, dg.steps[1].right) == (2, 3)
 
+    @pytest.mark.parametrize("method", LINKAGES)
+    def test_merges_equal_the_full_scan_bit_for_bit(self, method):
+        # The cached-neighbour search must pick the same pair as a row-major
+        # argmin over the whole matrix and do the same arithmetic, ties
+        # included, so every merge and height is identical.
+        rng = np.random.default_rng(337)
+        cases = [random_dissimilarity(rng, n) for n in list(range(2, 13)) + [25, 40, 60]]
+        cases += [tied_dissimilarity(rng, n) for n in list(range(2, 9)) * 20 + [25, 40, 60]]
+        for d in cases:
+            dg = hca(d, linkage=method)
+            steps, inversions = scan_hca(d, method)
+            assert [(s.left, s.right, s.height, s.size) for s in dg.steps] == steps
+            assert list(dg.inversions) == inversions
+
+    def test_a_tie_with_the_merged_cluster_goes_to_the_lower_column(self):
+        # After (1, 3) merge, item 0 is at 2 from both cluster {1, 3} (row 1)
+        # and item 2: the full scan meets column 1 first, so 0 joins {1, 3}.
+        d = squareform([3.0, 2.0, 2.0, 2.0, 1.0, 3.0])
+        dg = hca(d, linkage="single")
+        want = [(1, 3, 1.0, 2), (0, 4, 2.0, 3), (5, 2, 2.0, 4)]
+        assert [(s.left, s.right, s.height, s.size) for s in dg.steps] == want
+        assert scan_hca(d, "single")[0] == want
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(331)
         d = random_dissimilarity(rng, 11)
@@ -210,6 +238,28 @@ class TestAffinityPropagation:
         assert res.assignment.k == 1
         assert res.assignment.labels.tolist() == [0, 0]
 
+    @pytest.mark.parametrize("damping", [0.5, 0.9])
+    def test_result_equals_the_allocating_updates_bit_for_bit(self, damping):
+        # Random and tied matrices of 3-24 items; in a few of them the
+        # outcome turns on the last bit of the messages.
+        rng = np.random.default_rng(344)
+        cases = []
+        for t in range(40):
+            make = tied_dissimilarity if t % 2 else random_dissimilarity
+            cases.append((make(rng, int(rng.integers(3, 25))), {}))
+        cases += [(three_blob_points(rng, 9)[0], {}),
+                  (random_dissimilarity(rng, 20), {"preference": -4.0}),
+                  (three_blob_points(rng)[0], {"max_iter": 3}),
+                  (tied_dissimilarity(rng, 12), {"max_iter": 1})]
+        for d, kwargs in cases:
+            res = affinity_propagation(d, damping=damping, **kwargs)
+            labels, exemplars, converged, n_iter, pref = allocating_ap(d, damping=damping, **kwargs)
+            assert res.assignment.labels.tolist() == labels
+            assert list(res.exemplars) == exemplars
+            assert res.converged == converged
+            assert res.n_iter == n_iter
+            assert res.preference_value == pref
+
     def test_far_items_are_self_consistent(self):
         d = np.array([[0.0, 50.0], [50.0, 0.0]])
         res = affinity_propagation(d)
@@ -236,6 +286,30 @@ class TestExemplar:
     def test_singleton(self):
         d = squareform([1.0, 5.0, 4.0])
         assert exemplar([2], d) == 2
+
+    def test_order_duplicates_and_layout_do_not_matter(self):
+        rng = np.random.default_rng(379)
+        for n in (3, 9, 40):
+            d = random_dissimilarity(rng, n)
+            fortran = np.asfortranarray(d)
+            members = rng.choice(n, size=n // 2 + 1, replace=False)
+            want = brute_exemplar(members.tolist(), d)
+            assert exemplar(members, d) == want
+            assert exemplar(np.concatenate([members, members[::-1]]), d) == want
+            assert exemplar(sorted(members.tolist()), fortran) == want
+
+    def test_memory_layout_does_not_pick_the_exemplar(self):
+        # Every row of a symmetric circulant matrix holds the same values,
+        # so only rounding in the row sums separates the candidates.
+        rng = np.random.default_rng(383)
+        for n in (9, 41, 64):
+            half = rng.uniform(1.0, 10.0, (n - 1) // 2)
+            col = np.concatenate([[0.0], half, half[::-1]] if n % 2 else [[0.0], half, [9.5], half[::-1]])
+            d = col[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+            want = exemplar(range(n), d)
+            assert exemplar(range(n), np.asfortranarray(d)) == want
+            assert criteria(ClusterAssignment(np.zeros(n, dtype=np.int64), 1),
+                            np.asfortranarray(d)).global_exemplar == want
 
 
 class TestCriteria:
@@ -273,3 +347,18 @@ class TestCriteria:
         assert res.global_exemplar in (0, 1, 2)
         assert len(res.exemplars) == 2
         assert res.exemplars[1] == 2
+
+    def test_sweep_over_every_cut_equals_brute_force(self):
+        # Integer distances make every sum exact, so the library and the
+        # naive recomputation must agree to the bit, lowest-index ties included.
+        rng = np.random.default_rng(397)
+        for n in (2, 5, 13, 30):
+            d = tied_dissimilarity(rng, n)
+            dg = hca(d, linkage="ward")
+            for k in range(1, n + 1):
+                labels = cut(dg, k).labels
+                res = criteria(cut(dg, k), d)
+                assert (res.bc, res.wc) == brute_criteria(labels, d)
+                assert res.global_exemplar == brute_exemplar(range(n), d)
+                assert res.exemplars == tuple(brute_exemplar(np.flatnonzero(labels == c).tolist(), d)
+                                              for c in range(k))

@@ -101,6 +101,15 @@ class TestComputeMatrix:
         parallel = compute_matrix(fleet, "sspd", workers=4)
         assert np.array_equal(serial.values, parallel.values)
 
+    def test_every_chunking_equals_serial_bitwise(self):
+        # 45 pairs over 2-8 workers: chunks of 1-2 pairs start at every
+        # position of the triangle, in rows of every length.
+        fleet = small_fleet(seed=227, n=10)
+        serial = compute_matrix(fleet, "sspd", workers=1)
+        for workers in (2, 4, 8):
+            parallel = compute_matrix(fleet, "sspd", workers=workers)
+            assert parallel.values.tobytes() == serial.values.tobytes()
+
     def test_failure_names_the_offending_pair(self):
         fleet = small_fleet(n=3)
         stuck = Trajectory(id="stuck", points=[(1.0, 1.0), (1.0, 1.0)])
@@ -128,6 +137,15 @@ class TestPersistence:
         assert back.ids == m.ids
         assert back.kind == m.kind
         assert np.array_equal(back.values, m.values)
+
+    def test_file_is_header_ids_kind_then_upper_triangle(self, tmp_path):
+        m = compute_matrix(small_fleet(n=7), "dtw")
+        save_matrix(m, tmp_path / "m.trjd")
+        want = struct.pack("<4sII", b"TRJD", 1, 7)
+        for item_id in (*m.ids, m.kind):
+            want += struct.pack("<I", len(item_id)) + item_id.encode("utf-8")
+        want += m.values[np.triu_indices(7, 1)].astype("<f8").tobytes()
+        assert (tmp_path / "m.trjd").read_bytes() == want
 
     def test_unicode_ids_survive(self, tmp_path):
         vals = np.array([[0.0, 2.5], [2.5, 0.0]])
