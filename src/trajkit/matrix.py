@@ -8,6 +8,8 @@ CSV export mirrors the full symmetric matrix for interoperability.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing
 import struct
 from dataclasses import dataclass
@@ -109,32 +111,30 @@ class DistanceSpec:
         return self.name
 
 
+#: Distance name -> (single-pair kernel, batch kernel over a PointStore or
+#: None, the DistanceSpec fields passed to either as parameters).
+_KERNELS = {
+    "dtw": (warping.dtw, warping.dtw_batch, ()),
+    "dlcss": (warping.dlcss, warping.dlcss_batch, ("eps_d",)),
+    "edr": (warping.edr, warping.edr_batch, ("eps_d",)),
+    "erp": (warping.erp, warping.erp_batch, ("gap",)),
+    "hausdorff": (shape.hausdorff, None, ()),
+    "frechet": (shape.frechet, None, ()),
+    "discrete_frechet": (shape.discrete_frechet, warping.coupling_batch, ()),
+    "sowd": (shape.sowd, None, ("samples_per_unit",)),
+    "sspd": (sspd.sspd, None, ()),
+}
+
+
+def _bind(spec: DistanceSpec) -> tuple[Callable, Callable | None, tuple]:
+    func, batch, fields = _KERNELS[spec.name]
+    return func, batch, tuple(getattr(spec, f) for f in fields)
+
+
 def pair_function(spec: DistanceSpec) -> Callable[[np.ndarray, np.ndarray], float]:
     """Bind a DistanceSpec to a two-argument distance over point arrays."""
-    name = spec.name
-    if name == "dtw":
-        return warping.dtw
-    if name == "dlcss":
-        eps = float(spec.eps_d)
-        return lambda a, b: warping.dlcss(a, b, eps)
-    if name == "edr":
-        eps = float(spec.eps_d)
-        return lambda a, b: float(warping.edr(a, b, eps))
-    if name == "erp":
-        gap = spec.gap
-        return lambda a, b: warping.erp(a, b, gap)
-    if name == "hausdorff":
-        return shape.hausdorff
-    if name == "frechet":
-        return shape.frechet
-    if name == "discrete_frechet":
-        return shape.discrete_frechet
-    if name == "sowd":
-        density = float(spec.samples_per_unit)
-        return lambda a, b: shape.sowd(a, b, density)
-    if name == "sspd":
-        return sspd.sspd
-    raise ValueError(f"unknown distance {name!r}")
+    func, _, params = _bind(spec)
+    return lambda a, b: float(func(a, b, *params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,47 +186,52 @@ class DistanceMatrix:
             raise KeyError(f"no trajectory {item_id!r} in this matrix") from None
 
 
-# -- parallel computation ----------------------------------------------------
+# -- evaluation --------------------------------------------------------------
+
+#: Failing pairs named in a MatrixComputationError; the rest are counted.
+_REPORTED_FAILURES = 10
 
 _WORKER: dict = {}
 
 
-def _eval_pairs(func: Callable, points: Sequence[np.ndarray], start: int, end: int
-                ) -> tuple[list, tuple[int, int, Exception] | None]:
-    """Distances of the pairs at flat positions start..end-1 of the row-major
-    strict upper triangle. Stops at the first pair that raises and returns
-    it, with the exception, after the values computed before it."""
-    n = len(points)
-    i, k = 0, start
-    while i < n - 1 and k >= n - 1 - i:  # row i holds n - 1 - i pairs
-        k -= n - 1 - i
-        i += 1
-    j = i + 1 + k
-    out = []
-    for _ in range(start, end):
+def _pair_indices(n: int, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the pairs at flat positions start..end-1 of the
+    row-major strict upper triangle of an n x n matrix."""
+    row_len = np.arange(n - 1, 0, -1)
+    row_start = np.cumsum(row_len) - row_len
+    k = np.arange(start, end)
+    i = np.searchsorted(row_start, k, side="right") - 1
+    return i, k - row_start[i] + i + 1
+
+
+def _eval_range(job: tuple, bounds: tuple[int, int]) -> tuple[int, np.ndarray, list]:
+    """Distances of the pairs at flat positions ``bounds``, and the pairs
+    that failed as (flat position, i, j, message). A batch kernel runs the
+    range at once; without one, or if it raises, each pair runs alone."""
+    store, spec = job
+    func, batch, params = _bind(spec)
+    start, end = bounds
+    ia, ib = _pair_indices(len(store.offsets) - 1, start, end)
+    if batch is not None:
         try:
-            out.append(func(points[i], points[j]))
-        except Exception as exc:  # handed back with the offending pair attached
-            return out, (i, j, exc)
-        j += 1
-        if j == n:
-            i += 1
-            j = i + 1
-    return out, None
+            return start, batch(store, ia, ib, *params), []
+        except Exception:  # re-run below, pair by pair, to name the failing pairs
+            pass
+    values, failures = np.zeros(len(ia)), []
+    for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
+        try:
+            values[k] = func(store[i], store[j], *params)
+        except Exception as exc:  # reported with the offending pair attached
+            failures.append((start + k, i, j, f"{type(exc).__name__}: {exc}"))
+    return start, values, failures
 
 
-def _init_worker(points: list[np.ndarray], spec: DistanceSpec) -> None:
-    _WORKER["points"] = points
-    _WORKER["func"] = pair_function(spec)
+def _init_worker(job: tuple) -> None:
+    _WORKER["job"] = job
 
 
-def _eval_range(args: tuple[int, int]) -> tuple[int, list, tuple[int, int, str] | None]:
-    start, end = args
-    out, failure = _eval_pairs(_WORKER["func"], _WORKER["points"], start, end)
-    if failure is not None:
-        i, j, exc = failure
-        failure = (i, j, f"{type(exc).__name__}: {exc}")
-    return start, out, failure
+def _eval_in_worker(bounds: tuple[int, int]) -> tuple[int, np.ndarray, list]:
+    return _eval_range(_WORKER["job"], bounds)
 
 
 def _triangle(values: np.ndarray) -> np.ndarray:
@@ -273,7 +278,9 @@ def compute_matrix(
     Raises
     ------
     MatrixComputationError
-        If any pairwise evaluation fails; names the offending pair.
+        If any pairwise evaluation fails. Every pair is still evaluated;
+        the error counts the failures and names the first ones, in row-major
+        pair order, so the report is the same for any worker count.
     """
     if isinstance(spec, str):
         spec = DistanceSpec(spec)
@@ -284,31 +291,32 @@ def compute_matrix(
         raise ValueError("compute_matrix: trajectory ids must be unique")
     if workers < 1:
         raise ValueError("compute_matrix: workers must be >= 1")
-    points = [t.points for t in trajectories]
-    n = len(points)
+    n = len(trajectories)
     npairs = n * (n - 1) // 2
+    job = (warping.PointStore.pack([t.points for t in trajectories]), spec)
+    # A serial range is one DP batch; the pool gives each worker about 8 ranges.
+    size = warping.CHUNK if workers == 1 else max(1, npairs // (workers * 8))
+    ranges = [(s, min(s + size, npairs)) for s in range(0, npairs, size)]
     flat = np.zeros(npairs)
-
-    if workers == 1 or npairs == 0:
-        out, failure = _eval_pairs(pair_function(spec), points, 0, npairs)
-        if failure is not None:
-            i, j, exc = failure
-            raise MatrixComputationError(
-                f"{spec.render()} failed on pair ({ids[i]!r}, {ids[j]!r}): {exc}") from exc
-        flat[:] = out
-    else:
-        chunk = max(1, npairs // (workers * 8))
-        ranges = [(s, min(s + chunk, npairs)) for s in range(0, npairs, chunk)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(points, spec)) as pool:
-            for start, out, failure in pool.imap_unordered(_eval_range, ranges):
-                if failure is not None:
-                    i, j, msg = failure
-                    pool.terminate()
-                    raise MatrixComputationError(
-                        f"{spec.render()} failed on pair ({ids[i]!r}, {ids[j]!r}): {msg}")
-                flat[start:start + len(out)] = out
-
+    failures = []
+    with contextlib.ExitStack() as stack:
+        if workers == 1 or npairs == 0:
+            results = map(functools.partial(_eval_range, job), ranges)
+        else:
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
+                workers, initializer=_init_worker, initargs=(job,)))
+            results = pool.imap_unordered(_eval_in_worker, ranges)
+        for start, values, failed in results:
+            flat[start:start + len(values)] = values
+            failures += failed
+    if failures:
+        failures.sort()
+        named = "; ".join(f"({ids[i]!r}, {ids[j]!r}): {msg}"
+                          for _, i, j, msg in failures[:_REPORTED_FAILURES])
+        more = len(failures) - _REPORTED_FAILURES
+        raise MatrixComputationError(
+            f"{spec.render()} failed on {len(failures)} pair(s): {named}"
+            + (f"; and {more} more" if more > 0 else ""))
     return DistanceMatrix(tuple(ids), spec.render(), _square(flat, n))
 
 
@@ -329,7 +337,7 @@ def save_matrix(m: DistanceMatrix, path: str | Path) -> None:
     Path(path).write_bytes(blob)
 
 
-def _take(blob: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
+def _take(blob: bytes | memoryview, offset: int, count: int, what: str) -> tuple:
     if offset + count > len(blob):
         raise MatrixFormatError(f"truncated matrix file: ran out of bytes reading {what}")
     return blob[offset:offset + count], offset + count
@@ -355,10 +363,12 @@ def load_matrix(path: str | Path) -> DistanceMatrix:
     raw, offset = _take(blob, offset, ln, "kind string")
     kind = raw.decode("utf-8")
     npairs = n * (n - 1) // 2
-    raw, offset = _take(blob, offset, 8 * npairs, "value payload")
+    raw, offset = _take(memoryview(blob), offset, 8 * npairs, "value payload")  # no copy
     if offset != len(blob):
         raise MatrixFormatError(f"trailing bytes after matrix payload ({len(blob) - offset})")
-    return DistanceMatrix(tuple(ids), kind, _square(np.frombuffer(raw, dtype="<f8"), n))
+    values = _square(np.frombuffer(raw, dtype="<f8"), n)
+    del blob, raw  # free the file's bytes before DistanceMatrix copies the square
+    return DistanceMatrix(tuple(ids), kind, values)
 
 
 def save_matrix_csv(m: DistanceMatrix, path: str | Path) -> None:

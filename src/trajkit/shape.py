@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from . import warping
 from .geometry import as_points, segment_distances
 
 __all__ = [
@@ -32,12 +33,12 @@ def _shape_points(t, name: str, min_points: int = 2) -> np.ndarray:
 
 
 def hausdorff(t1, t2) -> float:
-    """Hausdorff distance between two polylines, evaluated at the vertices.
+    """Hausdorff distance between two polylines, measured from the vertices.
 
-    Each vertex of one trajectory is measured against the other
-    trajectory's full segment set; the largest such nearest-distance over
-    both directions is returned. For a segment the point-to-carrier
-    distance is maximal at an endpoint, so sampling the vertices suffices.
+    Each vertex of one trajectory is measured against the other trajectory's
+    carrier; the largest such nearest-distance over both directions is
+    returned, as traj-dist computes it. The max-min distance between the
+    continuous polylines can be larger, as its maximum can lie inside a segment.
     """
     a = _shape_points(t1, "hausdorff")
     b = _shape_points(t2, "hausdorff")
@@ -52,26 +53,7 @@ def discrete_frechet(t1, t2) -> float:
     Smallest over all monotone couplings of the two vertex sequences of the
     largest paired point distance.
     """
-    a, b = as_points(t1), as_points(t2)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("discrete_frechet: empty input")
-    diff = a[:, None, :] - b[None, :, :]
-    dist = np.sqrt(np.einsum("ijc,ijc->ij", diff, diff))
-    n, m = dist.shape
-    prev = np.full(m, np.inf)
-    cur = np.empty(m)
-    for i in range(n):
-        for j in range(m):
-            if i == 0 and j == 0:
-                cur[0] = dist[0, 0]
-            elif i == 0:
-                cur[j] = max(cur[j - 1], dist[0, j])
-            elif j == 0:
-                cur[0] = max(prev[0], dist[i, 0])
-            else:
-                cur[j] = max(min(prev[j - 1], prev[j], cur[j - 1]), dist[i, j])
-        prev, cur = cur, prev
-    return float(prev[m - 1])
+    return warping.on_pair(warping.coupling_batch, "discrete_frechet", t1, t2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
-"""Warping and edit distances between point sequences.
+"""Warping, edit and coupling distances between point sequences.
 
 All functions accept either :class:`~trajkit.geometry.Trajectory` objects or
 bare array-likes of shape (n, 2). Unlike the shape-based distances, the
 recurrences here are defined for sequences of any length, so base cases for
 empty inputs are honoured where they are meaningful (LCSS, EDR, ERP) and
 rejected where the distance is unbounded (DTW, DLCSS).
+
+Each recurrence, and the discrete Frechet coupling, is a cell rule that
+:func:`sweep` runs on a batch of pairs from a :class:`PointStore`. A
+single-pair call is a batch of one, so a matrix entry equals it bit for bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -15,11 +22,161 @@ from .geometry import as_points
 
 __all__ = ["dlcss", "dtw", "edr", "erp", "lcss"]
 
+#: Pairs per batch. A batch costs about as much as its longest sequences,
+#: whatever its size, so fixed-size batches keep matrix time per pair flat.
+CHUNK = 256
+_BLOCK = 4096  # cells whose point distances are computed in one step
+_PAD = np.array([[0.0, 0.0], [np.inf, np.inf]])
 
-def _pair_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance between every point of a and every point of b."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijc,ijc->ij", diff, diff))
+
+@dataclass(frozen=True, eq=False)
+class PointStore:
+    """Point sequences packed end to end, sequence k at ``xy[offsets[k]:offsets[k + 1]]``,
+    then a zero point and a point at infinity, which :meth:`gather` pads with."""
+
+    xy: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def pack(cls, sequences) -> PointStore:
+        seqs = [as_points(s) for s in sequences]
+        return cls(np.concatenate(seqs + [_PAD]), np.cumsum([0] + [len(s) for s in seqs]))
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self.xy[self.offsets[k]:self.offsets[k + 1]]
+
+    def lengths(self, idx: np.ndarray) -> np.ndarray:
+        return self.offsets[idx + 1] - self.offsets[idx]
+
+    def gather(self, idx: np.ndarray, size: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Points ``steps`` (a column) of sequences ``idx`` of lengths ``size``, shape
+        (steps, idx, 2): the zero point past the end, the point at infinity before it."""
+        at = np.where(steps < size, self.offsets[idx] + steps, -2)
+        return self.xy[np.where(steps < 0, -1, at)]
+
+
+def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distance over the last axis (the bits of sqrt(einsum(d, d)))."""
+    d = p - q
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1])
+
+
+def sweep(rule, store: PointStore, ia: np.ndarray, ib: np.ndarray, *params) -> np.ndarray:
+    """Cell T[n][m] of the DP table of ``rule`` for each pair (ia[k], ib[k]).
+
+    CHUNK pairs at a time are gathered, zero-padded to their longest
+    sequences and swept together by anti-diagonals, three kept at a time,
+    with the point distances of up to _BLOCK cells computed at once: memory
+    is O(CHUNK x longest sequence). A cell reads only cells above and left
+    of it, so padding never reaches a pair's own cells. Each sequence starts
+    with a point at infinity, and the cells before row and column 0 hold the
+    rule's ``outside`` value, so the rule yields row and column 0 itself.
+
+    ``rule(a, b, *params)`` gives ``(T[0][0], outside, cost, cell)``; row r
+    of ``a`` is point r - 1, ``b`` holds the b points reversed and padded.
+    ``cell(diag, up, left, c, out, facing)`` writes rows 0..n of one
+    anti-diagonal from T[i-1][j-1], T[i-1][j] and T[i][j-1]; ``c`` is
+    ``cost`` of the point distances and ``b[facing]`` the b points that rows
+    0..n meet on it.
+    """
+    result = np.empty(len(ia))
+    for c in range(0, len(ia), CHUNK):
+        pa, pb = ia[c:c + CHUNK], ib[c:c + CHUNK]
+        na, nb = store.lengths(pa), store.lengths(pb)
+        n, m, lanes = int(na.max()), int(nb.max()), len(pa)
+        # On anti-diagonal k, row r of a meets row n + m - k + r of b, point k - r - 1.
+        a = store.gather(pa, na, np.arange(-1, n)[:, None])
+        b = store.gather(pb, nb, np.arange(n + m - 1, -n - 1, -1)[:, None])
+        # A view of b in which windows[s] is b[s:s + n + 1].
+        windows = np.ndarray((n + m,) + a.shape, b.dtype, b, 0, b.strides[:1] + b.strides)
+        corner, outside, cost, cell = rule(a, b, *params)
+        block = max(1, _BLOCK // ((n + 1) * lanes))
+        diags = np.full((3, n + 2, lanes), outside)  # row 0 of each is row -1
+        diags[0, 1] = corner
+        views = [(d[:-1], d[1:]) for d in diags]
+        finish: dict[int, list[int]] = {}
+        for lane, k in enumerate((na + nb).tolist()):
+            finish.setdefault(k, []).append(lane)
+        for k in range(n + m + 1):
+            (diag, _), (up, left), (_, cur) = views[k % 3 - 2], views[k % 3 - 1], views[k % 3]
+            if k:
+                s = n + m - k
+                if (k - 1) % block == 0:
+                    costs = cost(_dist(a, windows[max(0, s + 1 - block):s + 1]))[::-1]
+                cell(diag, up, left, costs[(k - 1) % block], cur, slice(s, s + n + 1))
+            if k in finish:
+                done = finish[k]
+                result[c + np.array(done)] = cur[na[done], done]
+    return result
+
+
+def _min3(x, y, z, out):
+    np.minimum(x, y, out=out)
+    return np.minimum(out, z, out=out)
+
+
+def _same(dist):
+    return dist
+
+
+def _dtw(a, b):
+    def cell(diag, up, left, dist, out, facing):
+        np.add(_min3(diag, up, left, out), dist, out=out)
+    return 0.0, np.inf, _same, cell
+
+
+def _coupling(a, b):
+    def cell(diag, up, left, dist, out, facing):
+        np.maximum(_min3(diag, up, left, out), dist, out=out)
+    return -np.inf, np.inf, _same, cell
+
+
+def _lcss(a, b, eps_d):
+    def cell(diag, up, left, match, out, facing):
+        np.maximum(up, left, out=out)
+        np.add(diag, 1.0, out=out, where=match)
+    return 0.0, 0.0, lambda dist: dist < eps_d, cell
+
+
+def _edr(a, b, eps_d):
+    def cell(diag, up, left, match, out, facing):
+        np.add(_min3(diag, up, left, out), 1.0, out=out)
+        np.copyto(out, diag, where=match)
+    return 0.0, np.inf, lambda dist: dist < eps_d, cell
+
+
+def _erp(a, b, gap_point):
+    g = np.asarray(gap_point, dtype=np.float64).reshape(2)
+    gap_a, gap_b = _dist(a, g), _dist(g, b)
+    tmp = np.empty_like(gap_a)
+
+    def cell(diag, up, left, dist, out, facing):  # align a_i with b_j, or leave one unmatched
+        np.minimum(np.add(diag, dist, out=tmp), np.add(up, gap_a, out=out), out=out)
+        np.minimum(out, np.add(left, gap_b[facing], out=tmp), out=out)
+    return 0.0, np.inf, _same, cell
+
+
+dtw_batch = partial(sweep, _dtw)
+coupling_batch = partial(sweep, _coupling)
+lcss_batch = partial(sweep, _lcss)
+edr_batch = partial(sweep, _edr)
+erp_batch = partial(sweep, _erp)
+
+
+def dlcss_batch(store: PointStore, ia, ib, eps_d: float) -> np.ndarray:
+    return 1.0 - lcss_batch(store, ia, ib, eps_d) / np.minimum(store.lengths(ia), store.lengths(ib))
+
+
+_PAIR = (np.array([0]), np.array([1]))
+
+
+def on_pair(batch, name: str | None, t1, t2, *params) -> float:
+    """``batch`` run on the one pair (t1, t2); with a ``name``, empty input is rejected."""
+    a, b = as_points(t1), as_points(t2)
+    if name is not None and (a.shape[0] == 0 or b.shape[0] == 0):
+        raise ValueError(f"{name}: empty input")
+    return float(batch(PointStore.pack([a, b]), *_PAIR, *params)[0])
 
 
 def dtw(t1, t2) -> float:
@@ -27,7 +184,7 @@ def dtw(t1, t2) -> float:
 
     Every point of one sequence is aligned to at least one point of the
     other, order preserved; the summed cost of the cheapest such alignment
-    is returned. Two rolling rows are kept rather than the full grid.
+    is returned.
 
     Parameters
     ----------
@@ -38,21 +195,7 @@ def dtw(t1, t2) -> float:
     -------
     float
     """
-    a, b = as_points(t1), as_points(t2)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("dtw: empty input (the warping cost of an empty sequence is unbounded)")
-    cost = _pair_dists(a, b)
-    n, m = cost.shape
-    prev = np.full(m + 1, np.inf)
-    prev[0] = 0.0
-    cur = np.empty(m + 1)
-    for i in range(n):
-        cur[0] = np.inf
-        row = cost[i]
-        for j in range(m):
-            cur[j + 1] = row[j] + min(prev[j], prev[j + 1], cur[j])
-        prev, cur = cur, prev
-    return float(prev[m])
+    return on_pair(dtw_batch, "dtw", t1, t2)
 
 
 def lcss(t1, t2, eps_d: float) -> int:
@@ -66,25 +209,9 @@ def lcss(t1, t2, eps_d: float) -> int:
     int
         Number of matched pairs (a similarity, not a distance).
     """
-    a, b = as_points(t1), as_points(t2)
     if eps_d <= 0:
         raise ValueError("lcss: eps_d must be positive")
-    n, m = a.shape[0], b.shape[0]
-    if n == 0 or m == 0:
-        return 0
-    match = _pair_dists(a, b) < eps_d
-    prev = np.zeros(m + 1, dtype=np.int64)
-    cur = np.zeros(m + 1, dtype=np.int64)
-    for i in range(n):
-        row = match[i]
-        for j in range(m):
-            if row[j]:
-                cur[j + 1] = prev[j] + 1
-            else:
-                cur[j + 1] = max(prev[j + 1], cur[j])
-        prev, cur = cur, prev
-        cur[0] = 0
-    return int(prev[m])
+    return int(on_pair(lcss_batch, None, t1, t2, eps_d))
 
 
 def dlcss(t1, t2, eps_d: float) -> float:
@@ -93,10 +220,9 @@ def dlcss(t1, t2, eps_d: float) -> float:
     Ranges over [0, 1]; 0 when the shorter sequence matches entirely.
     Empty inputs are rejected (the normaliser would vanish).
     """
-    a, b = as_points(t1), as_points(t2)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("dlcss: empty input")
-    return 1.0 - lcss(a, b, eps_d) / min(a.shape[0], b.shape[0])
+    if eps_d <= 0:
+        raise ValueError("dlcss: eps_d must be positive")
+    return on_pair(dlcss_batch, "dlcss", t1, t2, eps_d)
 
 
 def edr(t1, t2, eps_d: float) -> int:
@@ -109,27 +235,9 @@ def edr(t1, t2, eps_d: float) -> int:
     -------
     int
     """
-    a, b = as_points(t1), as_points(t2)
     if eps_d <= 0:
         raise ValueError("edr: eps_d must be positive")
-    n, m = a.shape[0], b.shape[0]
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    match = _pair_dists(a, b) < eps_d
-    prev = np.arange(m + 1, dtype=np.int64)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(n):
-        cur[0] = i + 1
-        row = match[i]
-        for j in range(m):
-            if row[j]:
-                cur[j + 1] = prev[j]
-            else:
-                cur[j + 1] = 1 + min(prev[j], prev[j + 1], cur[j])
-        prev, cur = cur, prev
-    return int(prev[m])
+    return int(on_pair(edr_batch, None, t1, t2, eps_d))
 
 
 def erp(t1, t2, gap_point) -> float:
@@ -145,23 +253,6 @@ def erp(t1, t2, gap_point) -> float:
     float
     """
     a, b = as_points(t1), as_points(t2)
-    g = np.asarray(gap_point, dtype=np.float64).reshape(1, 2)
-    n, m = a.shape[0], b.shape[0]
-    gap_a = _pair_dists(a, g)[:, 0] if n else np.empty(0)
-    gap_b = _pair_dists(g, b)[0, :] if m else np.empty(0)
-    if n == 0:
-        return float(gap_b.sum())
-    if m == 0:
-        return float(gap_a.sum())
-    cost = _pair_dists(a, b)
-    prev = np.concatenate(([0.0], np.cumsum(gap_b)))
-    cur = np.empty(m + 1)
-    for i in range(n):
-        cur[0] = prev[0] + gap_a[i]
-        row = cost[i]
-        for j in range(m):
-            cur[j + 1] = min(prev[j] + row[j],        # align p1_i with p2_j
-                             prev[j + 1] + gap_a[i],  # p1_i unmatched
-                             cur[j] + gap_b[j])       # p2_j unmatched
-        prev, cur = cur, prev
-    return float(prev[m])
+    if a.shape[0] == 0 or b.shape[0] == 0:  # numpy's sum, not the table's running sum
+        return float(_dist(np.concatenate([a, b]), np.asarray(gap_point, dtype=np.float64)).sum())
+    return on_pair(erp_batch, None, a, b, gap_point)

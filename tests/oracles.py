@@ -125,6 +125,132 @@ def enum_erp(a, b, gap) -> float:
     return best[0]
 
 
+# Frozen copies of the scalar DP loops that trajkit shipped before the
+# recurrences were batched across pairs. The batched kernels must reproduce
+# them bit for bit, base cases and empty-input rejections included.
+
+
+def _scalar_pair_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijc,ijc->ij", diff, diff))
+
+
+def _scalar_points(t) -> np.ndarray:
+    pts = np.asarray(t, dtype=np.float64)
+    return pts.reshape(0, 2) if pts.size == 0 else pts.reshape(-1, 2)
+
+
+def scalar_dtw(t1, t2) -> float:
+    a, b = _scalar_points(t1), _scalar_points(t2)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise ValueError("dtw: empty input (the warping cost of an empty sequence is unbounded)")
+    cost = _scalar_pair_dists(a, b)
+    n, m = cost.shape
+    prev = np.full(m + 1, np.inf)
+    prev[0] = 0.0
+    cur = np.empty(m + 1)
+    for i in range(n):
+        cur[0] = np.inf
+        row = cost[i]
+        for j in range(m):
+            cur[j + 1] = row[j] + min(prev[j], prev[j + 1], cur[j])
+        prev, cur = cur, prev
+    return float(prev[m])
+
+
+def scalar_lcss(t1, t2, eps_d: float) -> int:
+    a, b = _scalar_points(t1), _scalar_points(t2)
+    n, m = a.shape[0], b.shape[0]
+    if n == 0 or m == 0:
+        return 0
+    match = _scalar_pair_dists(a, b) < eps_d
+    prev = np.zeros(m + 1, dtype=np.int64)
+    cur = np.zeros(m + 1, dtype=np.int64)
+    for i in range(n):
+        row = match[i]
+        for j in range(m):
+            if row[j]:
+                cur[j + 1] = prev[j] + 1
+            else:
+                cur[j + 1] = max(prev[j + 1], cur[j])
+        prev, cur = cur, prev
+        cur[0] = 0
+    return int(prev[m])
+
+
+def scalar_dlcss(t1, t2, eps_d: float) -> float:
+    a, b = _scalar_points(t1), _scalar_points(t2)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise ValueError("dlcss: empty input")
+    return 1.0 - scalar_lcss(a, b, eps_d) / min(a.shape[0], b.shape[0])
+
+
+def scalar_edr(t1, t2, eps_d: float) -> int:
+    a, b = _scalar_points(t1), _scalar_points(t2)
+    n, m = a.shape[0], b.shape[0]
+    if n == 0:
+        return m
+    if m == 0:
+        return n
+    match = _scalar_pair_dists(a, b) < eps_d
+    prev = np.arange(m + 1, dtype=np.int64)
+    cur = np.empty(m + 1, dtype=np.int64)
+    for i in range(n):
+        cur[0] = i + 1
+        row = match[i]
+        for j in range(m):
+            if row[j]:
+                cur[j + 1] = prev[j]
+            else:
+                cur[j + 1] = 1 + min(prev[j], prev[j + 1], cur[j])
+        prev, cur = cur, prev
+    return int(prev[m])
+
+
+def scalar_erp(t1, t2, gap_point) -> float:
+    a, b = _scalar_points(t1), _scalar_points(t2)
+    g = np.asarray(gap_point, dtype=np.float64).reshape(1, 2)
+    n, m = a.shape[0], b.shape[0]
+    gap_a = _scalar_pair_dists(a, g)[:, 0] if n else np.empty(0)
+    gap_b = _scalar_pair_dists(g, b)[0, :] if m else np.empty(0)
+    if n == 0:
+        return float(gap_b.sum())
+    if m == 0:
+        return float(gap_a.sum())
+    cost = _scalar_pair_dists(a, b)
+    prev = np.concatenate(([0.0], np.cumsum(gap_b)))
+    cur = np.empty(m + 1)
+    for i in range(n):
+        cur[0] = prev[0] + gap_a[i]
+        row = cost[i]
+        for j in range(m):
+            cur[j + 1] = min(prev[j] + row[j], prev[j + 1] + gap_a[i], cur[j] + gap_b[j])
+        prev, cur = cur, prev
+    return float(prev[m])
+
+
+def scalar_discrete_frechet(t1, t2) -> float:
+    a, b = _scalar_points(t1), _scalar_points(t2)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise ValueError("discrete_frechet: empty input")
+    dist = _scalar_pair_dists(a, b)
+    n, m = dist.shape
+    prev = np.full(m, np.inf)
+    cur = np.empty(m)
+    for i in range(n):
+        for j in range(m):
+            if i == 0 and j == 0:
+                cur[0] = dist[0, 0]
+            elif i == 0:
+                cur[j] = max(cur[j - 1], dist[0, j])
+            elif j == 0:
+                cur[0] = max(prev[0], dist[i, 0])
+            else:
+                cur[j] = max(min(prev[j - 1], prev[j], cur[j - 1]), dist[i, j])
+        prev, cur = cur, prev
+    return float(prev[m - 1])
+
+
 # -- dense-sampling geometry -------------------------------------------------
 
 
@@ -146,6 +272,19 @@ def sample_hausdorff(a, b, per_segment: int = 2000) -> float:
     d1 = max(sample_point_to_polyline(p, b, per_segment) for p in a)
     d2 = max(sample_point_to_polyline(q, a, per_segment) for q in b)
     return max(d1, d2)
+
+
+def sample_carrier_hausdorff(a, b, per_segment: int = 400) -> float:
+    """Hausdorff distance between the continuous polylines, by dense
+    sampling of both carriers."""
+    def samples(pts):
+        pts = np.asarray(pts, dtype=np.float64)
+        t = np.linspace(0.0, 1.0, per_segment)[:, None]
+        return np.concatenate([p + t * (q - p) for p, q in zip(pts[:-1], pts[1:])])
+
+    sa, sb = samples(a), samples(b)
+    d = np.sqrt(((sa[:, None, :] - sb[None, :, :]) ** 2).sum(axis=2))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def resample_polyline(pts, spacing: float) -> np.ndarray:

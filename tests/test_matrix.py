@@ -10,6 +10,8 @@ from trajkit import (DistanceMatrix, DistanceSpec, MatrixComputationError,
 from trajkit.matrix import DISTANCE_NAMES, pair_function
 
 from conftest import walk_trajectory
+from oracles import (scalar_discrete_frechet, scalar_dlcss, scalar_dtw, scalar_edr,
+                     scalar_erp)
 
 
 def small_fleet(seed: int = 211, n: int = 6, points: int = 6):
@@ -109,6 +111,50 @@ class TestComputeMatrix:
         for workers in (2, 4, 8):
             parallel = compute_matrix(fleet, "sspd", workers=workers)
             assert parallel.values.tobytes() == serial.values.tobytes()
+
+    def test_dp_matrices_match_direct_calls_and_frozen_loops_at_any_worker_count(self):
+        rng = np.random.default_rng(229)
+        fleet = [walk_trajectory(rng, 2 + k % 29, f"v{k}") for k in range(24)]
+        frozen = {"dtw": scalar_dtw, "dlcss": lambda a, b: scalar_dlcss(a, b, 1.0),
+                  "edr": lambda a, b: float(scalar_edr(a, b, 1.0)),
+                  "erp": lambda a, b: scalar_erp(a, b, (0.0, 0.0)),
+                  "discrete_frechet": scalar_discrete_frechet}
+        iu = np.triu_indices(len(fleet), 1)
+        for name, loop in frozen.items():
+            spec = DistanceSpec(name, eps_d=1.0)
+            serial = compute_matrix(fleet, spec)
+            for workers in (2, 4):
+                parallel = compute_matrix(fleet, spec, workers=workers)
+                assert parallel.values.tobytes() == serial.values.tobytes()
+            direct = pair_function(spec)
+            for i, j in zip(*iu):
+                a, b = fleet[i].points, fleet[j].points
+                assert serial.values[i, j] == direct(fleet[i], fleet[j]) == loop(a, b)
+
+    def test_all_failures_are_reported_the_same_at_any_worker_count(self):
+        # Two failing pairs, (t0, stuck) and (stuck, t1), in different chunks.
+        fleet = small_fleet(n=2)
+        stuck = Trajectory(id="stuck", points=[(1.0, 1.0), (1.0, 1.0)])
+        messages = set()
+        for workers in (1, 2, 4):
+            with pytest.raises(MatrixComputationError) as err:
+                compute_matrix([fleet[0], stuck, fleet[1]], "sowd", workers=workers)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        message = messages.pop()
+        assert "failed on 2 pair(s)" in message
+        assert message.index("('t0', 'stuck')") < message.index("('stuck', 't1')")
+
+    def test_failure_report_is_capped(self):
+        fleet = small_fleet(n=12)
+        stuck = Trajectory(id="stuck", points=[(1.0, 1.0), (1.0, 1.0)])
+        with pytest.raises(MatrixComputationError, match=r"failed on 12 pair\(s\).*; and 2 more$"):
+            compute_matrix([stuck] + fleet, "sowd")
+
+    def test_failing_batch_kernel_names_every_pair(self):
+        spec = DistanceSpec("erp", gap=(1.0, 2.0, 3.0))
+        with pytest.raises(MatrixComputationError, match=r"failed on 3 pair\(s\): \('t0', 't1'\)"):
+            compute_matrix(small_fleet(n=3), spec, workers=2)
 
     def test_failure_names_the_offending_pair(self):
         fleet = small_fleet(n=3)

@@ -9,7 +9,7 @@ from trajkit.shape import frechet_candidates
 
 from conftest import smooth_walk, walk_pairs, walk_triples
 from oracles import (dense_owd, enum_discrete_frechet, resampled_frechet,
-                     sample_hausdorff)
+                     sample_carrier_hausdorff, sample_hausdorff)
 
 L_SHAPE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0)]
 
@@ -39,6 +39,14 @@ class TestHausdorff:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError, match="at least 2"):
             hausdorff([(0.0, 0.0)], L_SHAPE)
+
+    def test_is_measured_from_the_vertices(self):
+        # A triangle's corners in two orders: every vertex lies on the other
+        # polyline, yet the carriers' edges are 5/sqrt(2) apart.
+        a = [(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)]
+        b = [(0.0, 0.0), (10.0, 0.0), (5.0, 5.0)]
+        assert hausdorff(a, b) == sample_hausdorff(a, b, per_segment=400) == 0.0
+        assert sample_carrier_hausdorff(a, b) == pytest.approx(5.0 / math.sqrt(2.0), abs=1e-2)
 
     def test_matches_dense_sampling_reference(self):
         rng = np.random.default_rng(71)
