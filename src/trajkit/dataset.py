@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Trajectory, project_wgs84
+from .geometry import Trajectory, project_wgs84, segment_lengths
 
 __all__ = [
     "BundleSpec",
@@ -307,7 +307,7 @@ class BundleSpec:
             raise ValueError("bundle anchor must be a polyline of shape (k, 2), k >= 2")
         if not np.all(np.isfinite(anchor)):
             raise ValueError("bundle anchor must be finite")
-        seg = np.hypot(*(anchor[1:] - anchor[:-1]).T)
+        seg = segment_lengths(anchor)
         if seg.sum() <= 0:
             raise ValueError("bundle anchor must have positive length")
         anchor.setflags(write=False)
@@ -323,7 +323,7 @@ class BundleSpec:
 
 def _along_anchor(anchor: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Points of the anchor polyline at the given arc-length positions."""
-    seg = np.hypot(*(anchor[1:] - anchor[:-1]).T)
+    seg = segment_lengths(anchor)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     x = np.interp(s, cum, anchor[:, 0])
     y = np.interp(s, cum, anchor[:, 1])
@@ -350,7 +350,7 @@ def synth(bundles: list[BundleSpec] | BundleSpec, seed: int) -> tuple[Trajectory
     trajectories: list[Trajectory] = []
     labels: list[int] = []
     for b_idx, spec in enumerate(bundles):
-        total = float(np.hypot(*(spec.anchor[1:] - spec.anchor[:-1]).T).sum())
+        total = float(segment_lengths(spec.anchor).sum())
         lo, hi = spec.points
         for t_idx in range(spec.count):
             m = int(rng.integers(lo, hi + 1))

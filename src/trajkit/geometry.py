@@ -25,6 +25,7 @@ __all__ = [
     "point_to_trajectory",
     "project_wgs84",
     "segment_distances",
+    "segment_lengths",
 ]
 
 
@@ -102,10 +103,8 @@ class Trajectory:
 
     @cached_property
     def piecewise_linear(self) -> PiecewiseLinearView:
-        starts = self.points[:-1]
-        ends = self.points[1:]
-        lengths = np.hypot(*(ends - starts).T)
-        return PiecewiseLinearView(starts, ends, lengths, float(lengths.sum()))
+        lengths = segment_lengths(self.points)
+        return PiecewiseLinearView(self.points[:-1], self.points[1:], lengths, float(lengths.sum()))
 
     @property
     def length(self) -> float:
@@ -129,6 +128,11 @@ def as_points(obj: Trajectory | Iterable) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
     return pts
+
+
+def segment_lengths(points: np.ndarray) -> np.ndarray:
+    """Euclidean length of each of the n-1 segments of an (n, 2) polyline."""
+    return np.hypot(*(points[1:] - points[:-1]).T)
 
 
 def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

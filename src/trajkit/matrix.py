@@ -72,7 +72,7 @@ class DistanceSpec:
     eps_d : float, optional
         Matching threshold; required for ``dlcss``/``edr``.
     gap : (float, float), optional
-        ERP gap point; defaults to the projected-frame origin (0, 0).
+        ERP gap point, two finite numbers; defaults to the frame origin (0, 0).
     samples_per_unit : float, optional
         Arc-length sampling density for ``sowd``; defaults to 1.0.
     """
@@ -92,8 +92,17 @@ class DistanceSpec:
                 raise ValueError(f"{name} requires eps_d (matching threshold)")
             if self.eps_d <= 0:
                 raise ValueError(f"{name}: eps_d must be positive")
-        if name == "erp" and self.gap is None:
-            object.__setattr__(self, "gap", (0.0, 0.0))
+        if name == "erp":
+            gap = (0.0, 0.0) if self.gap is None else self.gap
+            gap = tuple(gap) if isinstance(gap, (tuple, list, np.ndarray)) else ()
+            try:  # a bool is not a number; float() overflows past float64's range
+                gap = tuple(float(g) if isinstance(g, (int, float, np.integer, np.floating))
+                            and not isinstance(g, bool) else np.nan for g in gap)
+            except OverflowError:
+                gap = ()
+            if len(gap) != 2 or not np.isfinite(gap).all():
+                raise ValueError(f"erp: gap must be two finite numbers, got {self.gap!r}")
+            object.__setattr__(self, "gap", gap)
         if name == "sowd":
             density = 1.0 if self.samples_per_unit is None else float(self.samples_per_unit)
             if density <= 0:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import warping
-from .geometry import as_points, segment_distances
+from .geometry import as_points, segment_distances, segment_lengths
 
 __all__ = [
     "discrete_frechet",
@@ -107,6 +107,9 @@ class _FreeSpace:
         self.hc = np.einsum("jic,jic->ji", wh, wh)
         self.d_start = math.dist(p[0], q[0])
         self.d_end = math.dist(p[-1], q[-1])
+        # The decision reads Python floats (numpy's bits, no per-cell indexing); vb, vc as [j][i].
+        self.coef = (self.qa.tolist(), self.vb.T.tolist(), self.vc.T.tolist(),
+                     self.pa.tolist(), self.hb.tolist(), self.hc.tolist())
 
     def feasible(self, eps: float) -> bool:
         """Monotone-path decision at radius ``eps``.
@@ -122,58 +125,59 @@ class _FreeSpace:
             return False
         eps2 = (eps * (1.0 + 1e-12)) ** 2
         n, m = self.n, self.m
-        qa, vb, vc = self.qa, self.vb, self.vc
-        pa, hb, hc = self.pa, self.hb, self.hc
+        qa, vb, vc, pa, hb, hc = self.coef
 
-        # Reachable intervals on vertical boundaries (n, m-1) and
-        # horizontal boundaries (n-1, m); lo > hi encodes "unreachable".
-        rv = np.full((n, m - 1, 2), (1.0, 0.0))
-        rh = np.full((n - 1, m, 2), (1.0, 0.0))
+        # Reachable intervals, indexed [j][i], on vertical boundaries (rv) and
+        # horizontal boundaries (rh); lo > hi encodes "unreachable".
+        rv = [[(1.0, 0.0)] * n for _ in range(m - 1)]
+        rh = [[(1.0, 0.0)] * (n - 1) for _ in range(m)]
 
         # Left edge of the diagram: climb only while intervals stay joined.
         for j in range(m - 1):
-            lo, hi = _interval(qa[j], vb[0, j], vc[0, j], eps2)
+            lo, hi = _interval(qa[j], vb[j][0], vc[j][0], eps2)
             if lo > hi or lo > 0.0:
                 break
-            rv[0, j] = (0.0, hi)
+            rv[j][0] = (0.0, hi)
             if hi < 1.0:
                 break
         for i in range(n - 1):
-            lo, hi = _interval(pa[i], hb[0, i], hc[0, i], eps2)
+            lo, hi = _interval(pa[i], hb[0][i], hc[0][i], eps2)
             if lo > hi or lo > 0.0:
                 break
-            rh[i, 0] = (0.0, hi)
+            rh[0][i] = (0.0, hi)
             if hi < 1.0:
                 break
 
         for j in range(m - 1):
+            qa_j, vb_j, vc_j, hb_up, hc_up = qa[j], vb[j], vc[j], hb[j + 1], hc[j + 1]
+            rv_j, rh_j, rh_up = rv[j], rh[j], rh[j + 1]
             for i in range(n - 1):
-                left_lo, left_hi = rv[i, j]
-                bot_lo, bot_hi = rh[i, j]
+                left_lo, left_hi = rv_j[i]
+                bot_lo, bot_hi = rh_j[i]
                 if left_lo > left_hi and bot_lo > bot_hi:
                     continue
                 # Right boundary: vertex i+1 of P against segment j of Q.
-                lo, hi = _interval(qa[j], vb[i + 1, j], vc[i + 1, j], eps2)
+                lo, hi = _interval(qa_j, vb_j[i + 1], vc_j[i + 1], eps2)
                 if lo <= hi:
                     if bot_lo <= bot_hi:
-                        rv[i + 1, j] = (lo, hi)
+                        rv_j[i + 1] = (lo, hi)
                     else:
                         lo2 = max(lo, left_lo)
                         if lo2 <= hi:
-                            rv[i + 1, j] = (lo2, hi)
+                            rv_j[i + 1] = (lo2, hi)
                 # Top boundary: vertex j+1 of Q against segment i of P.
-                lo, hi = _interval(pa[i], hb[j + 1, i], hc[j + 1, i], eps2)
+                lo, hi = _interval(pa[i], hb_up[i], hc_up[i], eps2)
                 if lo <= hi:
                     if left_lo <= left_hi:
-                        rh[i, j + 1] = (lo, hi)
+                        rh_up[i] = (lo, hi)
                     else:
                         lo2 = max(lo, bot_lo)
                         if lo2 <= hi:
-                            rh[i, j + 1] = (lo2, hi)
+                            rh_up[i] = (lo2, hi)
 
-        if m >= 2 and rv[n - 1, m - 2, 1] >= 1.0 and rv[n - 1, m - 2, 0] <= 1.0:
+        if m >= 2 and rv[m - 2][n - 1][1] >= 1.0 and rv[m - 2][n - 1][0] <= 1.0:
             return True
-        if n >= 2 and rh[n - 2, m - 1, 1] >= 1.0 and rh[n - 2, m - 1, 0] <= 1.0:
+        if n >= 2 and rh[m - 1][n - 2][1] >= 1.0 and rh[m - 1][n - 2][0] <= 1.0:
             return True
         return False
 
@@ -265,6 +269,9 @@ def frechet(t1, t2) -> float:
 # One-way distance.
 # ---------------------------------------------------------------------------
 
+#: Point-segment pairs per segment_distances call in owd (1 MiB per temporary).
+_OWD_BLOCK = 1 << 16
+
 
 def owd(t1, t2, samples_per_unit: float = 1.0) -> float:
     """One-way distance from ``t1`` to ``t2`` (directional).
@@ -287,24 +294,24 @@ def owd(t1, t2, samples_per_unit: float = 1.0) -> float:
     b = _shape_points(t2, "owd")
     if samples_per_unit <= 0:
         raise ValueError("owd: samples_per_unit must be positive")
-    starts, ends = a[:-1], a[1:]
-    seg_len = np.hypot(*(ends - starts).T)
+    seg_len = segment_lengths(a)
     total = float(seg_len.sum())
     if total <= 0.0:
         raise ValueError("owd: first trajectory has zero length")
-    if float(np.hypot(*(b[1:] - b[:-1]).T).sum()) <= 0.0:
+    if float(segment_lengths(b).sum()) <= 0.0:
         raise ValueError("owd: second trajectory has zero length")
-    bs, be = b[:-1], b[1:]
-    integral = 0.0
-    for k in range(starts.shape[0]):
-        length = float(seg_len[k])
-        if length == 0.0:
-            continue
-        pieces = max(7, math.ceil(length * samples_per_unit))
-        t = np.linspace(0.0, 1.0, pieces + 1)
-        samples = starts[k] + t[:, None] * (ends[k] - starts[k])
-        d = segment_distances(samples, bs, be).min(axis=1)
-        integral += float(np.trapezoid(d)) * (length / pieces)
+    # All of t1's samples, then their distances to t2 in blocks of <= _OWD_BLOCK pairs.
+    pieces = [(k, length, max(7, math.ceil(length * samples_per_unit)))
+              for k, length in enumerate(seg_len.tolist()) if length != 0.0]
+    samples = np.concatenate([a[k] + np.linspace(0.0, 1.0, p + 1)[:, None] * (a[k + 1] - a[k])
+                              for k, _, p in pieces])
+    rows = max(1, _OWD_BLOCK // (b.shape[0] - 1))
+    d = np.concatenate([segment_distances(samples[r:r + rows], b[:-1], b[1:]).min(axis=1)
+                        for r in range(0, samples.shape[0], rows)])
+    integral, r = 0.0, 0
+    for _, length, p in pieces:
+        integral += float(np.trapezoid(d[r:r + p + 1])) * (length / p)
+        r += p + 1
     return integral / total
 
 

@@ -251,6 +251,189 @@ def scalar_discrete_frechet(t1, t2) -> float:
     return float(prev[m - 1])
 
 
+# Frozen copies of the shape kernels that trajkit shipped before the
+# Frechet feasibility decision moved to Python floats and owd sampled each
+# direction in one call: the free-space decision indexing numpy arrays cell
+# by cell, the candidate search around it, and the per-segment owd loop.
+# The rewritten kernels must reproduce them bit for bit.
+
+
+def _frozen_segment_distances(points, starts, ends) -> np.ndarray:
+    d = ends - starts
+    len2 = np.einsum("kc,kc->k", d, d)
+    w = points[:, None, :] - starts[None, :, :]
+    t = np.einsum("mkc,kc->mk", w, d) / np.where(len2 > 0.0, len2, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    proj = starts[None, :, :] + t[:, :, None] * d[None, :, :]
+    diff = points[:, None, :] - proj
+    return np.sqrt(np.einsum("mkc,mkc->mk", diff, diff))
+
+
+def _frozen_interval(a2, b, c0, eps2):
+    if a2 <= 0.0:
+        return (0.0, 1.0) if c0 <= eps2 else (1.0, 0.0)
+    disc = b * b - 4.0 * a2 * (c0 - eps2)
+    if disc < 0.0:
+        return (1.0, 0.0)
+    root = math.sqrt(disc)
+    lo = (-b - root) / (2.0 * a2)
+    hi = (-b + root) / (2.0 * a2)
+    if lo < 0.0:
+        lo = 0.0
+    if hi > 1.0:
+        hi = 1.0
+    return (lo, hi)
+
+
+class FrozenFreeSpace:
+    """The free-space coefficients and the numpy-indexed feasibility decision."""
+
+    def __init__(self, t1, t2) -> None:
+        p = np.asarray(t1, dtype=np.float64)
+        q = np.asarray(t2, dtype=np.float64)
+        self.n = p.shape[0]
+        self.m = q.shape[0]
+        dq = q[1:] - q[:-1]
+        dp = p[1:] - p[:-1]
+        self.qa = np.einsum("jc,jc->j", dq, dq)
+        self.pa = np.einsum("ic,ic->i", dp, dp)
+        wv = q[:-1][None, :, :] - p[:, None, :]
+        self.vb = 2.0 * np.einsum("ijc,jc->ij", wv, dq)
+        self.vc = np.einsum("ijc,ijc->ij", wv, wv)
+        wh = p[:-1][None, :, :] - q[:, None, :]
+        self.hb = 2.0 * np.einsum("jic,ic->ji", wh, dp)
+        self.hc = np.einsum("jic,jic->ji", wh, wh)
+        self.d_start = math.dist(p[0], q[0])
+        self.d_end = math.dist(p[-1], q[-1])
+        self.probes = 0
+
+    def feasible(self, eps: float) -> bool:
+        self.probes += 1
+        if eps < 0.0:
+            return False
+        if self.d_start > eps or self.d_end > eps:
+            return False
+        eps2 = (eps * (1.0 + 1e-12)) ** 2
+        n, m = self.n, self.m
+        qa, vb, vc = self.qa, self.vb, self.vc
+        pa, hb, hc = self.pa, self.hb, self.hc
+        rv = np.full((n, m - 1, 2), (1.0, 0.0))
+        rh = np.full((n - 1, m, 2), (1.0, 0.0))
+        for j in range(m - 1):
+            lo, hi = _frozen_interval(qa[j], vb[0, j], vc[0, j], eps2)
+            if lo > hi or lo > 0.0:
+                break
+            rv[0, j] = (0.0, hi)
+            if hi < 1.0:
+                break
+        for i in range(n - 1):
+            lo, hi = _frozen_interval(pa[i], hb[0, i], hc[0, i], eps2)
+            if lo > hi or lo > 0.0:
+                break
+            rh[i, 0] = (0.0, hi)
+            if hi < 1.0:
+                break
+        for j in range(m - 1):
+            for i in range(n - 1):
+                left_lo, left_hi = rv[i, j]
+                bot_lo, bot_hi = rh[i, j]
+                if left_lo > left_hi and bot_lo > bot_hi:
+                    continue
+                lo, hi = _frozen_interval(qa[j], vb[i + 1, j], vc[i + 1, j], eps2)
+                if lo <= hi:
+                    if bot_lo <= bot_hi:
+                        rv[i + 1, j] = (lo, hi)
+                    else:
+                        lo2 = max(lo, left_lo)
+                        if lo2 <= hi:
+                            rv[i + 1, j] = (lo2, hi)
+                lo, hi = _frozen_interval(pa[i], hb[j + 1, i], hc[j + 1, i], eps2)
+                if lo <= hi:
+                    if left_lo <= left_hi:
+                        rh[i, j + 1] = (lo, hi)
+                    else:
+                        lo2 = max(lo, bot_lo)
+                        if lo2 <= hi:
+                            rh[i, j + 1] = (lo2, hi)
+        if m >= 2 and rv[n - 1, m - 2, 1] >= 1.0 and rv[n - 1, m - 2, 0] <= 1.0:
+            return True
+        if n >= 2 and rh[n - 2, m - 1, 1] >= 1.0 and rh[n - 2, m - 1, 0] <= 1.0:
+            return True
+        return False
+
+    def candidates(self) -> np.ndarray:
+        tv = np.clip(-self.vb / np.where(self.qa > 0, 2 * self.qa, 1), 0.0, 1.0)
+        dv = np.sqrt(np.maximum(self.qa * tv ** 2 + self.vb * tv + self.vc, 0.0))
+        th = np.clip(-self.hb / np.where(self.pa > 0, 2 * self.pa, 1), 0.0, 1.0)
+        dh = np.sqrt(np.maximum(self.pa * th ** 2 + self.hb * th + self.hc, 0.0))
+        cell = np.maximum.reduce([dv[:-1, :], dv[1:, :], dh[:-1, :].T, dh[1:, :].T])
+        vals = np.concatenate([cell.ravel(), [self.d_start, self.d_end]])
+        return np.unique(vals)
+
+
+def frozen_frechet(t1, t2, space=None) -> float:
+    """Candidate binary search, doubling fallback and 1e-12 bisection over
+    the frozen decision; pass ``space`` to count its probes."""
+    fs = FrozenFreeSpace(t1, t2) if space is None else space
+    cand = fs.candidates()
+    lo_i, hi_i = 0, len(cand) - 1
+    if fs.feasible(float(cand[lo_i])):
+        return float(cand[lo_i])
+    if not fs.feasible(float(cand[hi_i])):
+        hi = float(cand[hi_i]) if cand[hi_i] > 0 else 1.0
+        for _ in range(64):
+            hi *= 2.0
+            if fs.feasible(hi):
+                break
+        else:
+            raise RuntimeError("frechet: no feasible radius found")
+        lo = float(cand[hi_i])
+    else:
+        while hi_i - lo_i > 1:
+            mid = (lo_i + hi_i) // 2
+            if fs.feasible(float(cand[mid])):
+                hi_i = mid
+            else:
+                lo_i = mid
+        lo, hi = float(cand[lo_i]), float(cand[hi_i])
+    tol = max(1e-13, 1e-12 * hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if fs.feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def frozen_owd(t1, t2, samples_per_unit: float = 1.0) -> float:
+    a = np.asarray(t1, dtype=np.float64)
+    b = np.asarray(t2, dtype=np.float64)
+    starts, ends = a[:-1], a[1:]
+    seg_len = np.hypot(*(ends - starts).T)
+    total = float(seg_len.sum())
+    if total <= 0.0:
+        raise ValueError("owd: first trajectory has zero length")
+    if float(np.hypot(*(b[1:] - b[:-1]).T).sum()) <= 0.0:
+        raise ValueError("owd: second trajectory has zero length")
+    bs, be = b[:-1], b[1:]
+    integral = 0.0
+    for k in range(starts.shape[0]):
+        length = float(seg_len[k])
+        if length == 0.0:
+            continue
+        pieces = max(7, math.ceil(length * samples_per_unit))
+        t = np.linspace(0.0, 1.0, pieces + 1)
+        samples = starts[k] + t[:, None] * (ends[k] - starts[k])
+        d = _frozen_segment_distances(samples, bs, be).min(axis=1)
+        integral += float(np.trapezoid(d)) * (length / pieces)
+    return integral / total
+
+
+def frozen_sowd(t1, t2, samples_per_unit: float = 1.0) -> float:
+    return 0.5 * (frozen_owd(t1, t2, samples_per_unit) + frozen_owd(t2, t1, samples_per_unit))
+
+
 # -- dense-sampling geometry -------------------------------------------------
 
 

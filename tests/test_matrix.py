@@ -44,6 +44,30 @@ class TestDistanceSpec:
         assert spec.gap == (0.0, 0.0)
         assert spec.render() == "erp(gap=(0.0, 0.0))"
 
+    @pytest.mark.parametrize("gap", [(1.0, 2.0, 3.0), (1.0,), (float("nan"), 0.0),
+                                     (0.0, float("inf")), (-np.inf, 1.0), 5.0, "12",
+                                     ((1.0, 2.0), (3.0, 4.0)), (1.0, "2"), (1.0, 1j),
+                                     (True, 0.0), (np.bool_(False), 1.0), (10**400, 0.0)])
+    def test_erp_gap_must_be_two_finite_numbers(self, gap):
+        with pytest.raises(ValueError, match="erp: gap must be two finite numbers"):
+            DistanceSpec("erp", gap=gap)
+
+    def test_erp_gap_is_stored_as_python_floats(self):
+        for gap in [(np.float64(0.1), np.float32(2.5)), np.array([0.1, 2.5]), [np.int64(1), 2]]:
+            spec = DistanceSpec("erp", gap=gap)
+            assert type(spec.gap) is tuple and [type(g) for g in spec.gap] == [float, float]
+            assert spec.gap == tuple(float(g) for g in gap)
+
+    def test_erp_render_round_trips_the_gap(self):
+        for gap in [(0.1, -2.5e-300), (1.0 / 3.0, 1e300), (np.float64(7.25), np.int32(-3)),
+                    (np.float64(0.1), np.float32(2.5))]:
+            spec = DistanceSpec("erp", gap=gap)
+            text = spec.render()
+            assert text.startswith("erp(gap=(") and text.endswith("))")
+            back = tuple(float(v) for v in text[len("erp(gap=("):-2].split(", "))
+            assert back == spec.gap == tuple(float(g) for g in gap)
+            assert DistanceSpec("erp", gap=back).render() == text
+
     def test_render_roundtrips_parameters(self):
         assert DistanceSpec("edr", eps_d=0.5).render() == "edr(eps_d=0.5)"
         assert DistanceSpec("dtw").render() == "dtw"
@@ -152,7 +176,10 @@ class TestComputeMatrix:
             compute_matrix([stuck] + fleet, "sowd")
 
     def test_failing_batch_kernel_names_every_pair(self):
-        spec = DistanceSpec("erp", gap=(1.0, 2.0, 3.0))
+        # DistanceSpec rejects a three-value gap; set one behind its back so
+        # that the batch kernel and then every single pair raise.
+        spec = DistanceSpec("erp")
+        object.__setattr__(spec, "gap", (1.0, 2.0, 3.0))
         with pytest.raises(MatrixComputationError, match=r"failed on 3 pair\(s\): \('t0', 't1'\)"):
             compute_matrix(small_fleet(n=3), spec, workers=2)
 

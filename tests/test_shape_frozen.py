@@ -1,0 +1,118 @@
+"""The continuous Frechet and OWD kernels against frozen copies of the
+numpy-indexed free-space decision and the per-segment owd loop they replaced."""
+
+import numpy as np
+import pytest
+
+from trajkit import DistanceSpec, compute_matrix, frechet, frechet_feasible, owd, shape, sowd
+from trajkit.shape import frechet_candidates
+
+from conftest import smooth_walk, walk_trajectory
+from oracles import FrozenFreeSpace, frozen_frechet, frozen_owd, frozen_sowd
+
+
+def walks(seed: int, count: int, span: float = 4.0) -> list[np.ndarray]:
+    """Walks of 2 to 30 points; every third one lies on a coarse grid, so
+    that vertices repeat, segments have zero length and cells tie."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        pts = smooth_walk(rng, 2 + k % 29, span=span)
+        out.append(np.round(pts) if k % 3 == 0 else pts)
+    return out
+
+
+def positive_length(pts: np.ndarray) -> bool:
+    return bool(np.any(pts[1:] != pts[:-1]))
+
+
+SEGMENT = np.array([(0.0, 0.0), (1.0, 0.0)])
+DEGENERATE = [
+    (SEGMENT, SEGMENT),                                             # curve against itself
+    (SEGMENT, SEGMENT[::-1]),                                       # reversed
+    (np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)]),    # repeated vertex
+     np.array([(0.0, 1.0), (0.0, 1.0), (2.0, 1.0)])),
+    (np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]),    # collinear, both ways
+     np.array([(3.0, 0.0), (1.5, 0.0), (0.0, 0.0)])),
+    (np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (3.0, 0.0)]),    # backtracking on one line
+     np.array([(0.0, 0.0), (3.0, 0.0)])),
+    (np.array([(0.0, 0.0), (4.0, 0.0)]),                            # a tent off the candidate grid
+     np.array([(0.0, 1.0), (2.0, 2.0), (4.0, 1.0)])),
+    (np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)]),                # zero-length first segment
+     np.array([(1.0, 1.0), (0.0, 0.0), (0.0, 0.0)])),
+]
+ZERO_LENGTH = np.array([(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)])
+
+
+def pairs(seed: int, count: int):
+    seqs = walks(seed, count)
+    return [(a, b) for a in seqs for b in seqs[::5]] + DEGENERATE + [(b, a) for a, b in DEGENERATE]
+
+
+def test_frechet_equals_the_frozen_search_probe_for_probe(monkeypatch):
+    probes = []
+    feasible = shape._FreeSpace.feasible
+    monkeypatch.setattr(shape._FreeSpace, "feasible",
+                        lambda fs, eps: probes.append(eps) or feasible(fs, eps))
+    for a, b in pairs(131, 30):
+        frozen = FrozenFreeSpace(a, b)
+        probes.clear()
+        assert frechet(a, b) == frozen_frechet(a, b, frozen)
+        assert len(probes) == frozen.probes
+
+
+def test_feasibility_equals_the_frozen_decision_at_candidate_values():
+    # Radii exactly at the candidates, at the answer and one ulp either side
+    # of both, and a sweep of 41 radii: the radius inflation and every
+    # interval edge are exercised.
+    for a, b in pairs(137, 15):
+        frozen = FrozenFreeSpace(a, b)
+        d = frechet(a, b)
+        radii = [*frechet_candidates(a, b).tolist(), d, 0.5 * d, 2.0 * d, -1.0, 0.0]
+        radii += [np.nextafter(r, s) for r in radii[:-2] for s in (-np.inf, np.inf)]
+        radii += np.linspace(0.0, 1.5 * d + 0.1, 41).tolist()
+        for eps in radii:
+            assert frechet_feasible(a, b, eps) is frozen.feasible(float(eps))
+
+
+@pytest.mark.parametrize("density", [0.37, 1.0, 4.0])
+def test_owd_and_sowd_equal_the_frozen_loop(density):
+    for a, b in pairs(149, 30):
+        if positive_length(a) and positive_length(b):
+            assert owd(a, b, density) == frozen_owd(a, b, density)
+            assert sowd(a, b, density) == frozen_sowd(a, b, density)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_owd_equals_the_frozen_loop_at_any_block_size(block, monkeypatch):
+    monkeypatch.setattr(shape, "_OWD_BLOCK", block)
+    for a, b in pairs(151, 12):
+        if positive_length(a) and positive_length(b):
+            assert owd(a, b, 2.5) == frozen_owd(a, b, 2.5)
+
+
+def test_owd_equals_the_frozen_loop_on_long_dense_segments():
+    # Some 74,000 samples against 11 segments: 13 blocks.
+    rng = np.random.default_rng(157)
+    a, b = smooth_walk(rng, 5, step=(15.0, 25.0)), smooth_walk(rng, 12)
+    assert owd(a, b, 1000.0) == frozen_owd(a, b, 1000.0)
+    assert owd(b, a, 1000.0) == frozen_owd(b, a, 1000.0)
+
+
+def test_owd_rejects_zero_length_input_like_the_frozen_loop():
+    for a, b in ((ZERO_LENGTH, SEGMENT), (SEGMENT, ZERO_LENGTH)):
+        with pytest.raises(ValueError, match="zero length"):
+            owd(a, b)
+        with pytest.raises(ValueError, match="zero length"):
+            frozen_owd(a, b)
+
+
+@pytest.mark.parametrize("name, frozen", [("frechet", frozen_frechet), ("sowd", frozen_sowd)])
+def test_matrix_entries_equal_the_frozen_kernels_at_any_worker_count(name, frozen):
+    rng = np.random.default_rng(163)
+    fleet = [walk_trajectory(rng, 2 + 3 * k, f"s{k}") for k in range(10)]
+    serial = compute_matrix(fleet, DistanceSpec(name))
+    for workers in (2, 4):
+        assert compute_matrix(fleet, name, workers=workers).values.tobytes() == serial.values.tobytes()
+    for i, j in zip(*np.triu_indices(len(fleet), 1)):
+        assert serial.values[i, j] == frozen(fleet[i].points, fleet[j].points)
