@@ -10,8 +10,7 @@ from .clustering import (APResult, ClusterAssignment, CriteriaResult, Dendrogram
                          MergeStep, affinity_propagation, criteria, cut, exemplar, hca)
 from .dataset import (BundleSpec, IngestError, TrajectoryDataset, ingest,
                       load_dataset, save_dataset, synth)
-from .geometry import (EARTH_RADIUS_M, PiecewiseLinearView, Segment, Trajectory,
-                       point_to_segment, point_to_trajectory, project_wgs84)
+from .geometry import EARTH_RADIUS_M, Trajectory, project_wgs84
 from .matrix import (DISTANCE_NAMES, DistanceMatrix, DistanceSpec,
                      MatrixComputationError, MatrixFormatError, compute_matrix,
                      load_matrix, save_matrix, save_matrix_csv)
@@ -36,8 +35,6 @@ __all__ = [
     "MatrixComputationError",
     "MatrixFormatError",
     "MergeStep",
-    "PiecewiseLinearView",
-    "Segment",
     "Trajectory",
     "TrajectoryDataset",
     "affinity_propagation",
@@ -60,8 +57,6 @@ __all__ = [
     "load_dataset",
     "load_matrix",
     "owd",
-    "point_to_segment",
-    "point_to_trajectory",
     "project_wgs84",
     "save_dataset",
     "save_matrix",

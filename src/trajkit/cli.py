@@ -165,9 +165,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         assignment = cut(dend, args.k)
         exemplars = {c: exemplar(assignment.members(c), m) for c in range(assignment.k)}
         note = f"hca/{args.linkage} k={assignment.k}"
-        if dend.inversions:
-            print(f"note: {len(dend.inversions)} height inversion(s) in the dendrogram",
-                  file=sys.stderr)
     else:
         preference = args.preference
         if preference == "min-distance":

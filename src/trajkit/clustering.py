@@ -59,17 +59,12 @@ class MergeStep:
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
-    """Full merge history of an agglomerative run.
-
-    ``inversions`` lists the step indices whose merge height dropped below
-    the previous step's height. Ward heights on a plain dissimilarity
-    matrix may do this; the inversions are reported rather than hidden.
-    """
+    """Full merge history of an agglomerative run. All four linkages are
+    reducible, so the merge heights never decrease."""
 
     n_items: int
     linkage: str
     steps: tuple[MergeStep, ...]
-    inversions: tuple[int, ...]
 
     def heights(self) -> np.ndarray:
         return np.array([s.height for s in self.steps])
@@ -138,8 +133,6 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     nn = work.argmin(axis=1)
     nd = work.min(axis=1)
     steps: list[MergeStep] = []
-    inversions: list[int] = []
-    prev_height = -np.inf
     for step in range(n - 1):
         i = int(nd.argmin())
         j = int(nn[i])
@@ -164,9 +157,6 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
         work[j] = np.inf
         work[:, j] = np.inf
         steps.append(MergeStep(cluster_id[i], cluster_id[j], height, int(si + sj)))
-        if height < prev_height - 1e-12 * max(1.0, abs(prev_height)):
-            inversions.append(step)
-        prev_height = height
         sizes[i] += sj
         cluster_id[i] = n + step
         nn[j] = -1
@@ -181,7 +171,7 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
         rows = work.take(stale, axis=0)
         nn[stale] = rows.argmin(axis=1)
         nd[stale] = rows.min(axis=1)
-    return Dendrogram(n, linkage, tuple(steps), tuple(inversions))
+    return Dendrogram(n, linkage, tuple(steps))
 
 
 def cut(dendrogram: Dendrogram, k: int) -> ClusterAssignment:

@@ -8,8 +8,7 @@ input is converted once, at ingestion, with :func:`project_wgs84`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -17,46 +16,13 @@ EARTH_RADIUS_M = 6_371_000.0
 
 __all__ = [
     "EARTH_RADIUS_M",
-    "PiecewiseLinearView",
-    "Segment",
     "Trajectory",
     "as_points",
-    "point_to_segment",
-    "point_to_trajectory",
+    "carrier_distances",
     "project_wgs84",
     "segment_distances",
     "segment_lengths",
 ]
-
-
-class Segment(NamedTuple):
-    """Directed line segment between two 2-D points."""
-
-    start: np.ndarray
-    end: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseLinearView:
-    """Segment decomposition of a trajectory.
-
-    Attributes
-    ----------
-    starts, ends : ndarray of shape (n-1, 2)
-        Endpoints of the n-1 consecutive segments.
-    lengths : ndarray of shape (n-1,)
-        Euclidean length of each segment (zero-length segments allowed).
-    total_length : float
-        Sum of segment lengths.
-    """
-
-    starts: np.ndarray
-    ends: np.ndarray
-    lengths: np.ndarray
-    total_length: float
-
-    def segments(self) -> list[Segment]:
-        return [Segment(a, b) for a, b in zip(self.starts, self.ends)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +67,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @cached_property
-    def piecewise_linear(self) -> PiecewiseLinearView:
-        lengths = segment_lengths(self.points)
-        return PiecewiseLinearView(self.points[:-1], self.points[1:], lengths, float(lengths.sum()))
-
-    @property
-    def length(self) -> float:
-        return self.piecewise_linear.total_length
-
 
 def as_points(obj: Trajectory | Iterable) -> np.ndarray:
     """Coerce a Trajectory or array-like into an (n, 2) float64 array.
@@ -149,9 +106,6 @@ def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) 
         Euclidean distance from point i to segment j (orthogonal projection
         clamped to the segment; zero-length segments degrade to points).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
-    ends = np.atleast_2d(np.asarray(ends, dtype=np.float64))
     d = ends - starts  # (k, 2)
     len2 = np.einsum("kc,kc->k", d, d)  # (k,)
     w = points[:, None, :] - starts[None, :, :]  # (m, k, 2)
@@ -162,24 +116,23 @@ def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) 
     return np.sqrt(np.einsum("mkc,mkc->mk", diff, diff))
 
 
-def point_to_segment(p, segment) -> float:
-    """Distance from point ``p`` to a segment ``(start, end)``.
+#: Point-segment pairs per segment_distances call in carrier_distances (1 MiB per temporary).
+_BLOCK = 1 << 16
 
-    Orthogonal projection distance when the projection falls inside the
-    segment, distance to the nearest endpoint otherwise.
+
+def carrier_distances(points: np.ndarray, carrier: np.ndarray) -> np.ndarray:
+    """Distance from each of the (m, 2) ``points`` to the nearest point of
+    the polyline ``carrier`` (k+1 points, k >= 1), as an (m,) array.
+
+    Runs :func:`segment_distances` over blocks of rows of at most ``_BLOCK``
+    point-segment pairs, so its temporaries stay under 1 MiB each for any m
+    (and any k up to ``_BLOCK``). A row's minimum does not depend on the
+    blocking.
     """
-    start, end = segment
-    return float(segment_distances(np.asarray(p, dtype=np.float64),
-                                   np.asarray(start, dtype=np.float64),
-                                   np.asarray(end, dtype=np.float64))[0, 0])
-
-
-def point_to_trajectory(p, traj: Trajectory | Iterable) -> float:
-    """Minimum distance from point ``p`` to the piecewise-linear carrier of ``traj``."""
-    pts = as_points(traj)
-    if pts.shape[0] < 2:
-        raise ValueError("point_to_trajectory needs a trajectory with at least 2 points")
-    return float(segment_distances(np.asarray(p, dtype=np.float64), pts[:-1], pts[1:]).min())
+    starts, ends = carrier[:-1], carrier[1:]
+    rows = max(1, _BLOCK // starts.shape[0])
+    return np.concatenate([segment_distances(points[r:r + rows], starts, ends).min(axis=1)
+                           for r in range(0, points.shape[0], rows)])
 
 
 def project_wgs84(lat, lon, origin_lat: float, origin_lon: float) -> tuple[np.ndarray, np.ndarray]:

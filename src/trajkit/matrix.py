@@ -8,7 +8,6 @@ CSV export mirrors the full symmetric matrix for interoperability.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import multiprocessing
 import struct
@@ -74,7 +73,7 @@ class DistanceSpec:
     gap : (float, float), optional
         ERP gap point, two finite numbers; defaults to the frame origin (0, 0).
     samples_per_unit : float, optional
-        Arc-length sampling density for ``sowd``; defaults to 1.0.
+        Arc-length sampling density for ``sowd``, positive and finite; defaults to 1.0.
     """
 
     name: str
@@ -90,8 +89,8 @@ class DistanceSpec:
         if name in ("dlcss", "edr"):
             if self.eps_d is None:
                 raise ValueError(f"{name} requires eps_d (matching threshold)")
-            if self.eps_d <= 0:
-                raise ValueError(f"{name}: eps_d must be positive")
+            if not self.eps_d > 0:  # NaN fails it too
+                raise ValueError(f"{name}: eps_d must be positive, got {self.eps_d!r}")
         if name == "erp":
             gap = (0.0, 0.0) if self.gap is None else self.gap
             gap = tuple(gap) if isinstance(gap, (tuple, list, np.ndarray)) else ()
@@ -105,8 +104,8 @@ class DistanceSpec:
             object.__setattr__(self, "gap", gap)
         if name == "sowd":
             density = 1.0 if self.samples_per_unit is None else float(self.samples_per_unit)
-            if density <= 0:
-                raise ValueError("sowd: samples_per_unit must be positive")
+            if not 0 < density < np.inf:  # NaN fails it too
+                raise ValueError(f"sowd: samples_per_unit must be positive and finite, got {density!r}")
             object.__setattr__(self, "samples_per_unit", density)
 
     def render(self) -> str:
@@ -243,6 +242,17 @@ def _eval_in_worker(bounds: tuple[int, int]) -> tuple[int, np.ndarray, list]:
     return _eval_range(_WORKER["job"], bounds)
 
 
+def _drain(results) -> None:
+    """Read what is left of a pool's result stream, errors included."""
+    while True:
+        try:
+            next(results)
+        except StopIteration:
+            return
+        except Exception:
+            pass
+
+
 def _triangle(values: np.ndarray) -> np.ndarray:
     """The row-major strict upper triangle of a square matrix, as little-endian float64."""
     n = values.shape[0]
@@ -308,16 +318,25 @@ def compute_matrix(
     ranges = [(s, min(s + size, npairs)) for s in range(0, npairs, size)]
     flat = np.zeros(npairs)
     failures = []
-    with contextlib.ExitStack() as stack:
-        if workers == 1 or npairs == 0:
-            results = map(functools.partial(_eval_range, job), ranges)
-        else:
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
-                workers, initializer=_init_worker, initargs=(job,)))
-            results = pool.imap_unordered(_eval_in_worker, ranges)
+    pool = None if workers == 1 or npairs == 0 else multiprocessing.get_context("fork").Pool(
+        workers, initializer=_init_worker, initargs=(job,))
+    results = (map(functools.partial(_eval_range, job), ranges) if pool is None
+               else pool.imap_unordered(_eval_in_worker, ranges))
+    try:
         for start, values, failed in results:
             flat[start:start + len(values)] = values
             failures += failed
+    except BaseException as exc:
+        # A worker that terminate() kills while it writes a result holds the
+        # result queue's lock for ever, so only an error ends the pool that way.
+        if pool is not None:
+            if isinstance(exc, Exception):  # an interrupt does not wait for the rest
+                _drain(results)
+            pool.terminate()
+        raise
+    if pool is not None:
+        pool.close()
+        pool.join()
     if failures:
         failures.sort()
         named = "; ".join(f"({ids[i]!r}, {ids[j]!r}): {msg}"

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import warping
-from .geometry import as_points, segment_distances, segment_lengths
+from .geometry import as_points, carrier_distances, segment_lengths
 
 __all__ = [
     "discrete_frechet",
@@ -42,9 +42,7 @@ def hausdorff(t1, t2) -> float:
     """
     a = _shape_points(t1, "hausdorff")
     b = _shape_points(t2, "hausdorff")
-    d_ab = segment_distances(a, b[:-1], b[1:]).min(axis=1)
-    d_ba = segment_distances(b, a[:-1], a[1:]).min(axis=1)
-    return float(max(d_ab.max(), d_ba.max()))
+    return float(max(carrier_distances(a, b).max(), carrier_distances(b, a).max()))
 
 
 def discrete_frechet(t1, t2) -> float:
@@ -269,9 +267,6 @@ def frechet(t1, t2) -> float:
 # One-way distance.
 # ---------------------------------------------------------------------------
 
-#: Point-segment pairs per segment_distances call in owd (1 MiB per temporary).
-_OWD_BLOCK = 1 << 16
-
 
 def owd(t1, t2, samples_per_unit: float = 1.0) -> float:
     """One-way distance from ``t1`` to ``t2`` (directional).
@@ -288,26 +283,24 @@ def owd(t1, t2, samples_per_unit: float = 1.0) -> float:
     t1, t2 : Trajectory or array-like of shape (n, 2)
         Both must have positive total length.
     samples_per_unit : float
-        Sampling density along ``t1``.
+        Sampling density along ``t1``, positive and finite.
     """
     a = _shape_points(t1, "owd")
     b = _shape_points(t2, "owd")
-    if samples_per_unit <= 0:
-        raise ValueError("owd: samples_per_unit must be positive")
+    if not 0 < samples_per_unit < math.inf:  # NaN fails it too
+        raise ValueError(f"owd: samples_per_unit must be positive and finite, got {samples_per_unit!r}")
     seg_len = segment_lengths(a)
     total = float(seg_len.sum())
     if total <= 0.0:
         raise ValueError("owd: first trajectory has zero length")
     if float(segment_lengths(b).sum()) <= 0.0:
         raise ValueError("owd: second trajectory has zero length")
-    # All of t1's samples, then their distances to t2 in blocks of <= _OWD_BLOCK pairs.
+    # All of t1's samples, then their distances to t2's carrier.
     pieces = [(k, length, max(7, math.ceil(length * samples_per_unit)))
               for k, length in enumerate(seg_len.tolist()) if length != 0.0]
     samples = np.concatenate([a[k] + np.linspace(0.0, 1.0, p + 1)[:, None] * (a[k + 1] - a[k])
                               for k, _, p in pieces])
-    rows = max(1, _OWD_BLOCK // (b.shape[0] - 1))
-    d = np.concatenate([segment_distances(samples[r:r + rows], b[:-1], b[1:]).min(axis=1)
-                        for r in range(0, samples.shape[0], rows)])
+    d = carrier_distances(samples, b)
     integral, r = 0.0, 0
     for _, length, p in pieces:
         integral += float(np.trapezoid(d[r:r + p + 1])) * (length / p)

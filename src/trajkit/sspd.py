@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_points, segment_distances
+from .geometry import as_points, carrier_distances
 
 __all__ = ["spd", "sspd"]
 
@@ -40,7 +40,7 @@ def spd(t1, t2) -> float:
         raise ValueError("spd: first trajectory is empty")
     if b.shape[0] < 2:
         raise ValueError("spd: second trajectory needs at least 2 points")
-    return float(segment_distances(a, b[:-1], b[1:]).min(axis=1).mean())
+    return float(carrier_distances(a, b).mean())
 
 
 def sspd(t1, t2) -> float:

@@ -209,8 +209,8 @@ def lcss(t1, t2, eps_d: float) -> int:
     int
         Number of matched pairs (a similarity, not a distance).
     """
-    if eps_d <= 0:
-        raise ValueError("lcss: eps_d must be positive")
+    if not eps_d > 0:  # NaN fails it too
+        raise ValueError(f"lcss: eps_d must be positive, got {eps_d!r}")
     return int(on_pair(lcss_batch, None, t1, t2, eps_d))
 
 
@@ -220,8 +220,8 @@ def dlcss(t1, t2, eps_d: float) -> float:
     Ranges over [0, 1]; 0 when the shorter sequence matches entirely.
     Empty inputs are rejected (the normaliser would vanish).
     """
-    if eps_d <= 0:
-        raise ValueError("dlcss: eps_d must be positive")
+    if not eps_d > 0:  # NaN fails it too
+        raise ValueError(f"dlcss: eps_d must be positive, got {eps_d!r}")
     return on_pair(dlcss_batch, "dlcss", t1, t2, eps_d)
 
 
@@ -235,8 +235,8 @@ def edr(t1, t2, eps_d: float) -> int:
     -------
     int
     """
-    if eps_d <= 0:
-        raise ValueError("edr: eps_d must be positive")
+    if not eps_d > 0:  # NaN fails it too
+        raise ValueError(f"edr: eps_d must be positive, got {eps_d!r}")
     return int(on_pair(edr_batch, None, t1, t2, eps_d))
 
 

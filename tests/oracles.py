@@ -254,7 +254,9 @@ def scalar_discrete_frechet(t1, t2) -> float:
 # Frozen copies of the shape kernels that trajkit shipped before the
 # Frechet feasibility decision moved to Python floats and owd sampled each
 # direction in one call: the free-space decision indexing numpy arrays cell
-# by cell, the candidate search around it, and the per-segment owd loop.
+# by cell, the candidate search around it, and the per-segment owd loop;
+# and of spd and hausdorff before they measured points against a carrier in
+# blocks of rows, each direction in one unblocked call.
 # The rewritten kernels must reproduce them bit for bit.
 
 
@@ -432,6 +434,25 @@ def frozen_owd(t1, t2, samples_per_unit: float = 1.0) -> float:
 
 def frozen_sowd(t1, t2, samples_per_unit: float = 1.0) -> float:
     return 0.5 * (frozen_owd(t1, t2, samples_per_unit) + frozen_owd(t2, t1, samples_per_unit))
+
+
+def _frozen_carrier_distances(a, b) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return _frozen_segment_distances(a, b[:-1], b[1:]).min(axis=1)
+
+
+def frozen_spd(t1, t2) -> float:
+    return float(_frozen_carrier_distances(t1, t2).mean())
+
+
+def frozen_sspd(t1, t2) -> float:
+    return 0.5 * (frozen_spd(t1, t2) + frozen_spd(t2, t1))
+
+
+def frozen_hausdorff(t1, t2) -> float:
+    return float(max(_frozen_carrier_distances(t1, t2).max(),
+                     _frozen_carrier_distances(t2, t1).max()))
 
 
 # -- dense-sampling geometry -------------------------------------------------

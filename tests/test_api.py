@@ -1,0 +1,24 @@
+"""The public names of trajkit: additions and removals show up here as a diff."""
+
+import trajkit
+
+PUBLIC = {
+    "APResult", "BundleSpec", "ClusterAssignment", "CriteriaResult", "DISTANCE_NAMES",
+    "Dendrogram", "DistanceMatrix", "DistanceSpec", "EARTH_RADIUS_M", "IngestError",
+    "MatrixComputationError", "MatrixFormatError", "MergeStep", "Trajectory",
+    "TrajectoryDataset", "affinity_propagation", "compute_matrix", "criteria", "cut",
+    "discrete_frechet", "dlcss", "dtw", "edr", "erp", "exemplar", "frechet",
+    "frechet_candidates", "frechet_feasible", "hausdorff", "hca", "ingest", "lcss",
+    "load_dataset", "load_matrix", "owd", "project_wgs84", "save_dataset", "save_matrix",
+    "save_matrix_csv", "sowd", "spd", "sspd", "synth",
+}
+
+
+def test_public_names_are_exactly_the_pinned_set():
+    assert len(trajkit.__all__) == len(set(trajkit.__all__))
+    assert set(trajkit.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in trajkit.__all__:
+        assert getattr(trajkit, name) is not None

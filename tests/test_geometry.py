@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from trajkit import Trajectory, project_wgs84
-from trajkit.geometry import (Segment, as_points, point_to_segment,
-                              point_to_trajectory, segment_distances)
+from trajkit.geometry import as_points, carrier_distances, segment_distances, segment_lengths
 
 from conftest import smooth_walk
 from oracles import sample_point_to_polyline_fast
@@ -16,7 +15,6 @@ class TestTrajectory:
         t = Trajectory(id="t1", points=[(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)])
         assert len(t) == 3
         assert t.points.dtype == np.float64
-        assert t.length == pytest.approx(3.0)
 
     def test_points_are_read_only(self):
         t = Trajectory(id="t", points=[(0.0, 0.0), (1.0, 0.0)])
@@ -45,17 +43,6 @@ class TestTrajectory:
             Trajectory(id="t", points=[(0.0, 0.0), (1.0, 0.0)],
                        timestamps=[0.0, 1.0, 2.0])
 
-    def test_piecewise_linear_view(self):
-        t = Trajectory(id="t", points=[(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
-        view = t.piecewise_linear
-        assert list(view.lengths) == [3.0, 4.0]
-        assert view.total_length == 7.0
-        segs = view.segments()
-        assert len(segs) == 2
-        np.testing.assert_array_equal(segs[0].start, [0.0, 0.0])
-        np.testing.assert_array_equal(segs[0].end, [3.0, 0.0])
-        np.testing.assert_array_equal(segs[1].end, [3.0, 4.0])
-
     def test_length_is_rigid_motion_invariant(self):
         rng = np.random.default_rng(7)
         pts = smooth_walk(rng, 12)
@@ -65,7 +52,8 @@ class TestTrajectory:
         moved = pts @ rot.T + np.array([17.0, -4.0])
         t1 = Trajectory(id="a", points=pts)
         t2 = Trajectory(id="b", points=moved)
-        assert t1.length == pytest.approx(t2.length, rel=1e-12)
+        assert segment_lengths(t1.points).sum() == pytest.approx(segment_lengths(t2.points).sum(),
+                                                                rel=1e-12)
 
 
 class TestAsPoints:
@@ -86,16 +74,29 @@ class TestAsPoints:
             as_points([(1.0, 2.0, 3.0)])
 
 
+class TestSegmentLengths:
+    def test_lengths_of_each_segment(self):
+        assert segment_lengths(np.array([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])).tolist() == [3.0, 4.0]
+        assert segment_lengths(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)])).sum() == 3.0
+        assert segment_lengths(np.array([(2.0, 5.0), (2.0, 5.0)])).tolist() == [0.0]
+
+
+def point_to_segment(p, start, end) -> float:
+    return segment_distances(np.array([p]), np.array([start]), np.array([end]))[0, 0]
+
+
 class TestPointToSegment:
+    """segment_distances on one point and one segment."""
+
     def test_projection_inside(self):
-        assert point_to_segment((0.0, 2.0), Segment((-1.0, 0.0), (2.0, 0.0))) == 2.0
+        assert point_to_segment((0.0, 2.0), (-1.0, 0.0), (2.0, 0.0)) == 2.0
 
     def test_clamps_to_endpoint(self):
-        d = point_to_segment((3.0, 1.0), Segment((0.0, 0.0), (2.0, 0.0)))
+        d = point_to_segment((3.0, 1.0), (0.0, 0.0), (2.0, 0.0))
         assert d == pytest.approx(math.sqrt(2.0))
 
     def test_zero_length_segment(self):
-        d = point_to_segment((3.0, 4.0), Segment((0.0, 0.0), (0.0, 0.0)))
+        d = point_to_segment((3.0, 4.0), (0.0, 0.0), (0.0, 0.0))
         assert d == 5.0
 
     def test_matches_reference_on_random_input(self):
@@ -103,24 +104,27 @@ class TestPointToSegment:
         for _ in range(200):
             p = rng.uniform(-5, 5, 2)
             a, b = rng.uniform(-5, 5, (2, 2))
-            got = point_to_segment(p, Segment(tuple(a), tuple(b)))
+            got = point_to_segment(p, a, b)
             want = sample_point_to_polyline_fast(p, np.array([a, b]))
             assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestPointToTrajectory:
+    """carrier_distances: each point against a whole polyline."""
+
     def test_simple(self):
         t = Trajectory(id="t", points=[(0.0, 0.0), (2.0, 0.0)])
-        assert point_to_trajectory((1.0, 1.0), t) == 1.0
+        got = carrier_distances(np.array([(1.0, 1.0), (3.0, 0.0), (0.5, 0.0)]), t.points)
+        assert got.tolist() == [1.0, 1.0, 0.0]
 
     def test_matches_reference_on_random_walks(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             pts = smooth_walk(rng, 8)
-            p = rng.uniform(-2, 12, 2)
-            got = point_to_trajectory(p, pts)
-            want = sample_point_to_polyline_fast(p, pts)
-            assert got == pytest.approx(want, abs=1e-12)
+            ps = rng.uniform(-2, 12, (4, 2))
+            got = carrier_distances(ps, pts)
+            for p, d in zip(ps, got):
+                assert d == pytest.approx(sample_point_to_polyline_fast(p, pts), abs=1e-12)
 
 
 class TestSegmentDistances:
@@ -134,7 +138,7 @@ class TestSegmentDistances:
         assert mat.shape == (6, 5)
         for i in range(6):
             for j in range(5):
-                want = point_to_segment(pts[i], Segment(tuple(starts[j]), tuple(ends[j])))
+                want = sample_point_to_polyline_fast(pts[i], np.array([starts[j], ends[j]]))
                 assert mat[i, j] == pytest.approx(want, abs=1e-12)
 
 

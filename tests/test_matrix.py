@@ -1,3 +1,4 @@
+import multiprocessing.pool
 import os
 import struct
 
@@ -33,6 +34,21 @@ class TestDistanceSpec:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             DistanceSpec("edr", eps_d=-1.0)
+
+    @pytest.mark.parametrize("name", ["dlcss", "edr"])
+    @pytest.mark.parametrize("eps_d, accepted", [(np.nan, False), (-np.inf, False), (np.inf, True)])
+    def test_eps_may_be_infinite_but_not_nan(self, name, eps_d, accepted):
+        # An infinite threshold matches every pair of points; NaN matches none.
+        if accepted:
+            assert DistanceSpec(name, eps_d=eps_d).render() == f"{name}(eps_d=inf)"
+        else:
+            with pytest.raises(ValueError, match=f"{name}: eps_d must be positive"):
+                DistanceSpec(name, eps_d=eps_d)
+
+    @pytest.mark.parametrize("density", [np.nan, np.inf, -np.inf, 0.0])
+    def test_owd_density_must_be_positive_and_finite(self, density):
+        with pytest.raises(ValueError, match="sowd: samples_per_unit must be positive and finite"):
+            DistanceSpec("sowd", samples_per_unit=density)
 
     def test_lcss_is_stored_as_its_distance_form(self):
         spec = DistanceSpec("lcss", eps_d=0.5)
@@ -194,6 +210,18 @@ class TestComputeMatrix:
         stuck = Trajectory(id="stuck", points=[(1.0, 1.0), (1.0, 1.0)])
         with pytest.raises(MatrixComputationError, match="'stuck'"):
             compute_matrix(fleet + [stuck], "sowd", workers=2)
+
+    def test_a_clean_pool_job_closes_its_pool_instead_of_terminating_it(self, monkeypatch):
+        # terminate() can hang on a worker that is still writing a result.
+        calls = []
+        terminate = multiprocessing.pool.Pool.terminate
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate",
+                            lambda pool: calls.append(pool) or terminate(pool))
+        fleet = small_fleet(n=8)
+        parallel = compute_matrix(fleet, "sspd", workers=2)
+        assert calls == []
+        assert multiprocessing.active_children() == []
+        assert parallel.values.tobytes() == compute_matrix(fleet, "sspd").values.tobytes()
 
     def test_duplicate_ids_rejected(self):
         fleet = small_fleet(n=2)

@@ -183,6 +183,13 @@ class TestOwd:
             owd([(1.0, 1.0), (1.0, 1.0)], L_SHAPE)
 
 
+@pytest.mark.parametrize("func", [owd, sowd])
+@pytest.mark.parametrize("density", [np.nan, np.inf, -np.inf, 0.0])
+def test_density_must_be_positive_and_finite(func, density):
+    with pytest.raises(ValueError, match="owd: samples_per_unit must be positive and finite"):
+        func(L_SHAPE, L_SHAPE, density)
+
+
 class TestSowd:
     def test_is_symmetric_by_construction(self):
         for a, b in walk_pairs(113, 30):

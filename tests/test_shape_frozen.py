@@ -1,14 +1,19 @@
-"""The continuous Frechet and OWD kernels against frozen copies of the
-numpy-indexed free-space decision and the per-segment owd loop they replaced."""
+"""The continuous Frechet, OWD, SPD and Hausdorff kernels against frozen
+copies of the numpy-indexed free-space decision, the per-segment owd loop
+and the unblocked point-to-carrier calls they replaced."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from trajkit import DistanceSpec, compute_matrix, frechet, frechet_feasible, owd, shape, sowd
+from trajkit import (DistanceSpec, compute_matrix, frechet, frechet_feasible, geometry, hausdorff,
+                     owd, shape, sowd, spd, sspd)
 from trajkit.shape import frechet_candidates
 
 from conftest import smooth_walk, walk_trajectory
-from oracles import FrozenFreeSpace, frozen_frechet, frozen_owd, frozen_sowd
+from oracles import (FrozenFreeSpace, frozen_frechet, frozen_hausdorff, frozen_owd, frozen_sowd,
+                     frozen_spd, frozen_sspd)
 
 
 def walks(seed: int, count: int, span: float = 4.0) -> list[np.ndarray]:
@@ -85,10 +90,28 @@ def test_owd_and_sowd_equal_the_frozen_loop(density):
 
 @pytest.mark.parametrize("block", [1, 7, 100])
 def test_owd_equals_the_frozen_loop_at_any_block_size(block, monkeypatch):
-    monkeypatch.setattr(shape, "_OWD_BLOCK", block)
+    # owd, spd, sspd and hausdorff share geometry.carrier_distances and its block.
+    monkeypatch.setattr(geometry, "_BLOCK", block)
     for a, b in pairs(151, 12):
+        assert spd(a, b) == frozen_spd(a, b)
+        assert sspd(a, b) == frozen_sspd(a, b)
+        assert hausdorff(a, b) == frozen_hausdorff(a, b)
         if positive_length(a) and positive_length(b):
             assert owd(a, b, 2.5) == frozen_owd(a, b, 2.5)
+
+
+@pytest.mark.parametrize("kernel", [sspd, hausdorff])
+def test_carrier_kernels_hold_bounded_memory(kernel):
+    # One unblocked call would hold (2000, 1999, 2) float64 temporaries, about 61 MiB each.
+    rng = np.random.default_rng(155)
+    a, b = smooth_walk(rng, 2000), smooth_walk(rng, 2000)
+    tracemalloc.start()
+    try:
+        kernel(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_owd_equals_the_frozen_loop_on_long_dense_segments():

@@ -129,6 +129,17 @@ class TestEdr:
             assert edr(a, b, eps_d=1.0) == edr(b, a, eps_d=1.0)
 
 
+@pytest.mark.parametrize("func", [lcss, dlcss, edr])
+@pytest.mark.parametrize("eps_d", [np.nan, -np.inf, np.inf])
+def test_threshold_must_not_be_nan_or_negative(func, eps_d):
+    a = [(0.0, 0.0), (1.0, 0.0)]
+    if eps_d == np.inf:  # every pair of points matches
+        assert func(a, [(5.0, 5.0)], eps_d) == {lcss: 1, dlcss: 0.0, edr: 1}[func]
+    else:
+        with pytest.raises(ValueError, match=f"{func.__name__}: eps_d must be positive"):
+            func(a, a, eps_d)
+
+
 class TestErp:
     def test_empty_input_pays_gap_cost(self):
         assert erp([], [(3.0, 4.0)], gap_point=(0.0, 0.0)) == 5.0
