@@ -126,12 +126,16 @@ _KERNELS = {
     "dlcss": (warping.dlcss, warping.dlcss_batch, ("eps_d",)),
     "edr": (warping.edr, warping.edr_batch, ("eps_d",)),
     "erp": (warping.erp, warping.erp_batch, ("gap",)),
-    "hausdorff": (shape.hausdorff, None, ()),
+    "hausdorff": (shape.hausdorff, shape.hausdorff_batch, ()),
     "frechet": (shape.frechet, None, ()),
     "discrete_frechet": (shape.discrete_frechet, warping.coupling_batch, ()),
-    "sowd": (shape.sowd, None, ("samples_per_unit",)),
-    "sspd": (sspd.sspd, None, ()),
+    "sowd": (shape.sowd, shape.sowd_batch, ("samples_per_unit",)),
+    "sspd": (sspd.sspd, sspd.sspd_batch, ()),
 }
+
+#: Batch kernels whose parameters are built from the packed points, once per
+#: job and before the pool forks, so that every worker shares them.
+_BATCH_PARAMS = {"sowd": lambda store, density: (shape.owd_samples(store, density),)}
 
 
 def _bind(spec: DistanceSpec) -> tuple[Callable, Callable | None, tuple]:
@@ -164,8 +168,11 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self._adopt(np.array(self.values, dtype=np.float64))
+
+    def _adopt(self, vals: np.ndarray) -> None:
+        """Check ``vals``, a float64 array no one else holds, and keep it read-only."""
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
-        vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError("distance matrix must be square")
         if len(self.ids) != vals.shape[0]:
@@ -194,6 +201,15 @@ class DistanceMatrix:
             raise KeyError(f"no trajectory {item_id!r} in this matrix") from None
 
 
+def _adopted(ids: tuple, kind: str, values: np.ndarray) -> DistanceMatrix:
+    """A DistanceMatrix that keeps ``values``, built by the caller for it, without a copy."""
+    m = DistanceMatrix.__new__(DistanceMatrix)
+    object.__setattr__(m, "ids", ids)
+    object.__setattr__(m, "kind", kind)
+    m._adopt(values)
+    return m
+
+
 # -- evaluation --------------------------------------------------------------
 
 #: Failing pairs named in a MatrixComputationError; the rest are counted.
@@ -216,13 +232,13 @@ def _eval_range(job: tuple, bounds: tuple[int, int]) -> tuple[int, np.ndarray, l
     """Distances of the pairs at flat positions ``bounds``, and the pairs
     that failed as (flat position, i, j, message). A batch kernel runs the
     range at once; without one, or if it raises, each pair runs alone."""
-    store, spec = job
+    store, spec, batch_params = job
     func, batch, params = _bind(spec)
     start, end = bounds
     ia, ib = _pair_indices(len(store.offsets) - 1, start, end)
     if batch is not None:
         try:
-            return start, batch(store, ia, ib, *params), []
+            return start, batch(store, ia, ib, *batch_params), []
         except Exception:  # re-run below, pair by pair, to name the failing pairs
             pass
     values, failures = np.zeros(len(ia)), []
@@ -312,9 +328,14 @@ def compute_matrix(
         raise ValueError("compute_matrix: workers must be >= 1")
     n = len(trajectories)
     npairs = n * (n - 1) // 2
-    job = (warping.PointStore.pack([t.points for t in trajectories]), spec)
-    # A serial range is one DP batch; the pool gives each worker about 8 ranges.
-    size = warping.CHUNK if workers == 1 else max(1, npairs // (workers * 8))
+    store = warping.PointStore.pack([t.points for t in trajectories])
+    params = _bind(spec)[2]
+    if spec.name in _BATCH_PARAMS:
+        params = _BATCH_PARAMS[spec.name](store, *params)
+    job = (store, spec, params)
+    # A serial range is 16 DP batches, and holds whole rows for the carrier
+    # kernels; the pool gives each worker about 8 ranges.
+    size = 16 * warping.CHUNK if workers == 1 else max(1, npairs // (workers * 8))
     ranges = [(s, min(s + size, npairs)) for s in range(0, npairs, size)]
     flat = np.zeros(npairs)
     failures = []
@@ -345,7 +366,7 @@ def compute_matrix(
         raise MatrixComputationError(
             f"{spec.render()} failed on {len(failures)} pair(s): {named}"
             + (f"; and {more} more" if more > 0 else ""))
-    return DistanceMatrix(tuple(ids), spec.render(), _square(flat, n))
+    return _adopted(tuple(ids), spec.render(), _square(flat, n))
 
 
 # -- persistence -------------------------------------------------------------
@@ -395,8 +416,8 @@ def load_matrix(path: str | Path) -> DistanceMatrix:
     if offset != len(blob):
         raise MatrixFormatError(f"trailing bytes after matrix payload ({len(blob) - offset})")
     values = _square(np.frombuffer(raw, dtype="<f8"), n)
-    del blob, raw  # free the file's bytes before DistanceMatrix copies the square
-    return DistanceMatrix(tuple(ids), kind, values)
+    del blob, raw  # free the file's bytes before the square is checked
+    return _adopted(tuple(ids), kind, values)
 
 
 def save_matrix_csv(m: DistanceMatrix, path: str | Path) -> None:

@@ -8,11 +8,14 @@ and the one-way / symmetrised one-way distances (OWD / SOWD).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import warping
-from .geometry import as_points, carrier_distances, segment_lengths
+from .geometry import as_points, carrier_pairs, segment_lengths, window_sums
+from .warping import _PAIR, PointStore
 
 __all__ = [
     "discrete_frechet",
@@ -32,6 +35,15 @@ def _shape_points(t, name: str, min_points: int = 2) -> np.ndarray:
     return pts
 
 
+def _maxima(flat: np.ndarray, walks: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return np.maximum.reduceat(flat, np.cumsum(n) - n)
+
+
+def hausdorff_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """hausdorff of each pair (ia[k], ib[k]) of sequences of ``store``."""
+    return np.maximum(*carrier_pairs(store, store, ia, ib, _maxima))
+
+
 def hausdorff(t1, t2) -> float:
     """Hausdorff distance between two polylines, measured from the vertices.
 
@@ -42,7 +54,7 @@ def hausdorff(t1, t2) -> float:
     """
     a = _shape_points(t1, "hausdorff")
     b = _shape_points(t2, "hausdorff")
-    return float(max(carrier_distances(a, b).max(), carrier_distances(b, a).max()))
+    return warping.on_pair(hausdorff_batch, None, a, b)
 
 
 def discrete_frechet(t1, t2) -> float:
@@ -268,6 +280,99 @@ def frechet(t1, t2) -> float:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class OwdSamples:
+    """The arc-length samples owd integrates along each sequence of a store.
+
+    Every segment of positive length is a piece of ``width`` trapezoids
+    (at least 7, else ``ceil(length * samples_per_unit)``) over width + 1
+    uniform samples, vertices included. Sequence k's samples are
+    ``points[k]``, its pieces ``first[k]:first[k + 1]``; piece g starts at
+    sample ``start[g]`` of its sequence and weighs a trapezoid sum by
+    ``scale[g]``, its length over its width. ``total`` is each sequence's
+    length; ``ok`` is False where it is zero or cannot be sampled.
+    """
+
+    points: PointStore
+    first: np.ndarray
+    start: np.ndarray
+    width: np.ndarray
+    scale: np.ndarray
+    total: np.ndarray
+    ok: np.ndarray
+
+
+def owd_samples(store: PointStore, samples_per_unit: float) -> OwdSamples:
+    """Sample every sequence of ``store`` as :func:`owd` does, at once."""
+    n = store.lengths(np.arange(len(store.offsets) - 1))
+    seams = store.offsets[1:-1] - 1  # segments that join two sequences
+    length = np.delete(segment_lengths(store.xy[:store.offsets[-1]]), seams)
+    segments = np.delete(np.arange(store.offsets[-1] - 1), seams)  # first vertex of each
+    total = window_sums(length, np.cumsum(n - 1) - (n - 1), n - 1)
+    owner = np.repeat(np.arange(len(n)), n - 1)
+    x = length * samples_per_unit
+    ok = total > 0.0
+    ok[owner[~(x < 2.0 ** 53)]] = False  # too many samples to hold
+    keep = (length != 0.0) & ok[owner]
+    length, segments, owner = length[keep], segments[keep], owner[keep]
+    width = np.maximum(7, np.ceil(x[keep])).astype(np.int64)
+    ends = np.cumsum(width + 1)
+    xy = np.empty((int(ends[-1]) if len(ends) else 0, 2))
+    for w in np.unique(width).tolist():
+        sel = np.flatnonzero(width == w)
+        a, b = store.xy[segments[sel]], store.xy[segments[sel] + 1]
+        t = np.linspace(0.0, 1.0, w + 1)[:, None]
+        xy[(ends[sel] - w - 1)[:, None] + np.arange(w + 1)] = a[:, None] + t * (b - a)[:, None]
+    first = np.searchsorted(owner, np.arange(len(n) + 1))
+    offsets = np.concatenate([[0], ends])[first]
+    return OwdSamples(PointStore(xy, offsets), first, ends - width - 1 - offsets[owner],
+                      width, length / width, total, ok)
+
+
+def _integrals(samples: OwdSamples, flat: np.ndarray, walks: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """owd of each pair from the distances of the ``n`` samples of its
+    measured sequence: the trapezoid sums of the pieces, weighed and added
+    in segment order."""
+    count = samples.first[walks + 1] - samples.first[walks]
+    pair = np.repeat(np.arange(len(walks)), count)
+    rank = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    piece = samples.first[walks][pair] + rank
+    base = np.cumsum(n) - n
+    traps = 1.0 * (flat[1:] + flat[:-1]) / 2.0
+    terms = np.zeros((len(walks), int(count.max())))
+    terms[pair, rank] = window_sums(traps, base[pair] + samples.start[piece],
+                                    samples.width[piece]) * samples.scale[piece]
+    integral = np.zeros(len(walks))
+    for term in terms.T:  # adding the zero padding changes nothing
+        integral += term
+    return integral / samples.total[walks]
+
+
+def _owd_pair(t1, t2, samples_per_unit: float) -> tuple[PointStore, OwdSamples]:
+    """The pair packed and sampled, with owd's checks on the pair (t1, t2)."""
+    a = _shape_points(t1, "owd")
+    b = _shape_points(t2, "owd")
+    if not 0 < samples_per_unit < math.inf:  # NaN fails it too
+        raise ValueError(f"owd: samples_per_unit must be positive and finite, got {samples_per_unit!r}")
+    store = PointStore.pack([a, b])
+    samples = owd_samples(store, samples_per_unit)
+    for k, which in enumerate(("first", "second")):
+        if samples.total[k] <= 0.0:
+            raise ValueError(f"owd: {which} trajectory has zero length")
+    if not samples.ok.all():
+        raise ValueError(f"owd: too many samples at {samples_per_unit!r} per unit length")
+    return store, samples
+
+
+def sowd_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray, samples: OwdSamples) -> np.ndarray:
+    """sowd of each pair (ia[k], ib[k]) of sequences of ``store``, from the
+    samples :func:`owd_samples` built from it."""
+    if not (samples.ok[ia].all() and samples.ok[ib].all()):
+        raise ValueError("owd: a trajectory has zero length or too many samples")
+    fwd, bwd = carrier_pairs(samples.points, store, ia, ib, partial(_integrals, samples))
+    return 0.5 * (fwd + bwd)
+
+
 def owd(t1, t2, samples_per_unit: float = 1.0) -> float:
     """One-way distance from ``t1`` to ``t2`` (directional).
 
@@ -285,29 +390,12 @@ def owd(t1, t2, samples_per_unit: float = 1.0) -> float:
     samples_per_unit : float
         Sampling density along ``t1``, positive and finite.
     """
-    a = _shape_points(t1, "owd")
-    b = _shape_points(t2, "owd")
-    if not 0 < samples_per_unit < math.inf:  # NaN fails it too
-        raise ValueError(f"owd: samples_per_unit must be positive and finite, got {samples_per_unit!r}")
-    seg_len = segment_lengths(a)
-    total = float(seg_len.sum())
-    if total <= 0.0:
-        raise ValueError("owd: first trajectory has zero length")
-    if float(segment_lengths(b).sum()) <= 0.0:
-        raise ValueError("owd: second trajectory has zero length")
-    # All of t1's samples, then their distances to t2's carrier.
-    pieces = [(k, length, max(7, math.ceil(length * samples_per_unit)))
-              for k, length in enumerate(seg_len.tolist()) if length != 0.0]
-    samples = np.concatenate([a[k] + np.linspace(0.0, 1.0, p + 1)[:, None] * (a[k + 1] - a[k])
-                              for k, _, p in pieces])
-    d = carrier_distances(samples, b)
-    integral, r = 0.0, 0
-    for _, length, p in pieces:
-        integral += float(np.trapezoid(d[r:r + p + 1])) * (length / p)
-        r += p + 1
-    return integral / total
+    store, samples = _owd_pair(t1, t2, samples_per_unit)
+    fwd, _ = carrier_pairs(samples.points, store, *_PAIR, partial(_integrals, samples), back=False)
+    return float(fwd[0])
 
 
 def sowd(t1, t2, samples_per_unit: float = 1.0) -> float:
     """Symmetrised one-way distance: mean of owd(t1, t2) and owd(t2, t1)."""
-    return 0.5 * (owd(t1, t2, samples_per_unit) + owd(t2, t1, samples_per_unit))
+    store, samples = _owd_pair(t1, t2, samples_per_unit)
+    return float(sowd_batch(store, *_PAIR, samples)[0])

@@ -12,9 +12,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_points, carrier_distances
+from .geometry import as_points, carrier_pairs, window_sums
+from .warping import _PAIR, PointStore, on_pair
 
 __all__ = ["spd", "sspd"]
+
+
+def _means(flat: np.ndarray, walks: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The mean of each of the consecutive runs of ``n`` values of ``flat``."""
+    return window_sums(flat, np.cumsum(n) - n, n) / n
+
+
+def sspd_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """sspd of each pair (ia[k], ib[k]) of sequences of ``store``."""
+    fwd, bwd = carrier_pairs(store, store, ia, ib, _means)
+    return 0.5 * (fwd + bwd)
 
 
 def spd(t1, t2) -> float:
@@ -40,7 +52,8 @@ def spd(t1, t2) -> float:
         raise ValueError("spd: first trajectory is empty")
     if b.shape[0] < 2:
         raise ValueError("spd: second trajectory needs at least 2 points")
-    return float(carrier_distances(a, b).mean())
+    store = PointStore.pack([a, b])
+    return float(carrier_pairs(store, store, *_PAIR, _means, back=False)[0][0])
 
 
 def sspd(t1, t2) -> float:
@@ -52,4 +65,4 @@ def sspd(t1, t2) -> float:
     a, b = as_points(t1), as_points(t2)
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ValueError("sspd: both trajectories need at least 2 points")
-    return 0.5 * (spd(a, b) + spd(b, a))
+    return on_pair(sspd_batch, None, a, b)

@@ -110,21 +110,30 @@ class TestPointToSegment:
 
 
 class TestPointToTrajectory:
-    """carrier_distances: each point against a whole polyline."""
+    """carrier_distances: each point against whole polylines."""
 
     def test_simple(self):
         t = Trajectory(id="t", points=[(0.0, 0.0), (2.0, 0.0)])
-        got = carrier_distances(np.array([(1.0, 1.0), (3.0, 0.0), (0.5, 0.0)]), t.points)
-        assert got.tolist() == [1.0, 1.0, 0.0]
+        got = carrier_distances(np.array([(1.0, 1.0), (3.0, 0.0), (0.5, 0.0)]), t.points, [0, 2])
+        assert got.tolist() == [[1.0], [1.0], [0.0]]
 
     def test_matches_reference_on_random_walks(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             pts = smooth_walk(rng, 8)
             ps = rng.uniform(-2, 12, (4, 2))
-            got = carrier_distances(ps, pts)
+            got = carrier_distances(ps, pts, [0, len(pts)])[:, 0]
             for p, d in zip(ps, got):
                 assert d == pytest.approx(sample_point_to_polyline_fast(p, pts), abs=1e-12)
+
+    def test_polylines_end_to_end_are_measured_apart(self):
+        # The segment that bridges two polylines is no part of either.
+        xy = np.array([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0), (6.0, 5.0), (6.0, 6.0)])
+        got = carrier_distances(np.array([(3.0, 2.5), (6.0, 5.5)]), xy, [0, 2, 5])
+        want = [[sample_point_to_polyline_fast(p, xy[a:b]) for a, b in ((0, 2), (2, 5))]
+                for p in ((3.0, 2.5), (6.0, 5.5))]
+        assert got == pytest.approx(np.array(want), abs=1e-12)
+        assert got[0, 0] > 3.0  # the bridge passes through (3.0, 2.5)
 
 
 class TestSegmentDistances:

@@ -1,6 +1,7 @@
 import multiprocessing.pool
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,14 @@ class TestDistanceMatrix:
         bad = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
             DistanceMatrix(("a", "b"), "dtw", bad)
+
+    def test_constructor_copies_the_callers_array(self):
+        vals = np.array([[0.0, 1.0], [1.0, 0.0]])
+        m = DistanceMatrix(("a", "b"), "dtw", vals)
+        assert vals.flags.writeable and not m.values.flags.writeable
+        assert not np.shares_memory(vals, m.values)
+        vals[0, 1] = vals[1, 0] = 5.0
+        assert m.values[0, 1] == 1.0
 
     def test_index_lookup(self):
         m = DistanceMatrix(("a", "b"), "dtw", np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -239,6 +248,24 @@ class TestPersistence:
         assert back.kind == m.kind
         assert np.array_equal(back.values, m.values)
 
+    def test_load_holds_at_most_1_6_times_the_matrix(self, tmp_path):
+        # The file's bytes (half the matrix) and the square it fills are the
+        # peak; the matrix keeps that square instead of copying it.
+        n = 1000
+        x = np.random.default_rng(233).random((n, 3))
+        vals = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        np.fill_diagonal(vals, 0.0)
+        vals = np.triu(vals, 1) + np.triu(vals, 1).T
+        save_matrix(DistanceMatrix(tuple(f"p{i}" for i in range(n)), "euclidean", vals), tmp_path / "m.trjd")
+        del x, vals
+        tracemalloc.start()
+        try:
+            back = load_matrix(tmp_path / "m.trjd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * back.values.nbytes
+
     def test_file_is_header_ids_kind_then_upper_triangle(self, tmp_path):
         m = compute_matrix(small_fleet(n=7), "dtw")
         save_matrix(m, tmp_path / "m.trjd")
@@ -327,7 +354,10 @@ def test_workers_speed_up_large_matrices():
     # Ideal time is 1/workers of serial; 0.25 of serial is left for pool start-up
     # and IPC. At 4 workers the bound is 0.5, at 2 it still demands a 1.33x speed-up.
     bound = 1 / workers + 0.25
-    fleet = small_fleet(seed=227, n=200, points=10)
+    # n=600: the serial sspd matrix takes about 0.9 s, so pool start-up (about
+    # 25 ms) and the last range's tail stay a small share. Its pool ranges
+    # (11,231 pairs) cost no more per pair than its serial ones (4,096).
+    fleet = small_fleet(seed=227, n=600, points=10)
     # Interleaved rounds: each ratio compares runs that saw the same host speed,
     # and the median drops rounds disturbed by other load on a shared host.
     serial, parallel = [], []

@@ -1,15 +1,19 @@
 """The continuous Frechet, OWD, SPD and Hausdorff kernels against frozen
 copies of the numpy-indexed free-space decision, the per-segment owd loop
-and the unblocked point-to-carrier calls they replaced."""
+and the unblocked point-to-carrier calls they replaced; and the batch
+kernels of sspd, hausdorff and sowd, and their matrix entries, against the
+same frozen copies."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from trajkit import (DistanceSpec, compute_matrix, frechet, frechet_feasible, geometry, hausdorff,
-                     owd, shape, sowd, spd, sspd)
-from trajkit.shape import frechet_candidates
+from trajkit import (DistanceSpec, Trajectory, compute_matrix, frechet, frechet_feasible, geometry,
+                     hausdorff, matrix, owd, shape, sowd, spd, sspd)
+from trajkit.shape import frechet_candidates, hausdorff_batch, owd_samples, sowd_batch
+from trajkit.sspd import sspd_batch
+from trajkit.warping import PointStore
 
 from conftest import smooth_walk, walk_trajectory
 from oracles import (FrozenFreeSpace, frozen_frechet, frozen_hausdorff, frozen_owd, frozen_sowd,
@@ -90,7 +94,7 @@ def test_owd_and_sowd_equal_the_frozen_loop(density):
 
 @pytest.mark.parametrize("block", [1, 7, 100])
 def test_owd_equals_the_frozen_loop_at_any_block_size(block, monkeypatch):
-    # owd, spd, sspd and hausdorff share geometry.carrier_distances and its block.
+    # owd, spd, sspd and hausdorff share geometry.carrier_pairs and its block.
     monkeypatch.setattr(geometry, "_BLOCK", block)
     for a, b in pairs(151, 12):
         assert spd(a, b) == frozen_spd(a, b)
@@ -130,7 +134,8 @@ def test_owd_rejects_zero_length_input_like_the_frozen_loop():
             frozen_owd(a, b)
 
 
-@pytest.mark.parametrize("name, frozen", [("frechet", frozen_frechet), ("sowd", frozen_sowd)])
+@pytest.mark.parametrize("name, frozen", [("frechet", frozen_frechet), ("sowd", frozen_sowd),
+                                         ("sspd", frozen_sspd), ("hausdorff", frozen_hausdorff)])
 def test_matrix_entries_equal_the_frozen_kernels_at_any_worker_count(name, frozen):
     rng = np.random.default_rng(163)
     fleet = [walk_trajectory(rng, 2 + 3 * k, f"s{k}") for k in range(10)]
@@ -139,3 +144,54 @@ def test_matrix_entries_equal_the_frozen_kernels_at_any_worker_count(name, froze
         assert compute_matrix(fleet, name, workers=workers).values.tobytes() == serial.values.tobytes()
     for i, j in zip(*np.triu_indices(len(fleet), 1)):
         assert serial.values[i, j] == frozen(fleet[i].points, fleet[j].points)
+
+
+def batch_fleet() -> list[np.ndarray]:
+    """Six walks of 6 points, so that the rows among them are of equal
+    length, then walks of 2 to 9 points; some repeat a vertex."""
+    rng = np.random.default_rng(167)
+    fleet = [smooth_walk(rng, 6) for _ in range(6)] + [smooth_walk(rng, 2 + k % 8) for k in range(10)]
+    for k in (1, 7, 12):
+        fleet[k] = np.insert(fleet[k], 1, fleet[k][1], axis=0)
+    fleet[9] = np.array([(3.0, 3.0), (3.0, 3.0), (4.0, 3.0)])
+    return fleet
+
+
+BATCHES = [
+    ("sspd", lambda store, ia, ib: sspd_batch(store, ia, ib), frozen_sspd),
+    ("hausdorff", lambda store, ia, ib: hausdorff_batch(store, ia, ib), frozen_hausdorff),
+    ("sowd", lambda store, ia, ib: sowd_batch(store, ia, ib, owd_samples(store, 1.7)),
+     lambda a, b: frozen_sowd(a, b, 1.7)),
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 1 << 16])
+@pytest.mark.parametrize("name, batch, frozen", BATCHES, ids=[b[0] for b in BATCHES])
+def test_batch_kernels_equal_the_frozen_kernels_on_any_flat_range(name, batch, frozen, block,
+                                                                 monkeypatch):
+    # Ranges that start and end mid-row, whole rows, single pairs and the
+    # whole triangle; the default block puts whole rows in one tile.
+    monkeypatch.setattr(geometry, "_BLOCK", block)
+    fleet = batch_fleet()
+    store = PointStore.pack(fleet)
+    n = len(fleet)
+    npairs = n * (n - 1) // 2
+    for start, end in [(0, npairs), (3, 40), (12, 13), (15, 85), (29, 57), (npairs - 4, npairs)]:
+        ia, ib = matrix._pair_indices(n, start, end)
+        got = batch(store, ia, ib)
+        for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
+            assert got[k] == frozen(fleet[i], fleet[j]), (name, block, start, i, j)
+
+
+@pytest.mark.parametrize("name", ["sspd", "hausdorff", "sowd"])
+def test_carrier_matrices_hold_bounded_memory(name):
+    # Three 2000-point walks: a sowd walk has some 16,000 samples.
+    rng = np.random.default_rng(169)
+    fleet = [Trajectory(f"w{k}", smooth_walk(rng, 2000)) for k in range(3)]
+    tracemalloc.start()
+    try:
+        compute_matrix(fleet, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
