@@ -254,16 +254,16 @@ def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray, reduce,
     out: tuple[list, list] = ([], [])
     for k0, k1, i0, i1, c0, c1 in _tiles(mol, co.tolist(), ia, ib, back):
         a, b = ia[k0:k1], ib[k0:k1]
-        f0 = i0 if c0 <= i1 else c0  # the first carrier of the forward call
+        f0 = i0 if i1 > i0 else c0  # the first carrier of the forward call
         near = carrier_distances(measured.xy[mol[i0]:mol[i1 + 1]], carriers.xy, co[f0:c1 + 1])
         width = near.shape[1]
         count = mo[a + 1] - mo[a]
         out[0].append(reduce(_picks(near.ravel(), (mo[a] - mol[i0]) * width + b - f0, width, count),
                              a, count))
         if back:
-            b0 = max(c0, i1 + 1)  # the first column past the tile's rows
+            b0 = i1 + 1 if i1 > i0 else c0  # the first column whose points the backward call takes
             later = carrier_distances(measured.xy[mol[b0]:mol[c1]], carriers.xy, co[i0:i1 + 2])
-            inside = b <= i1
+            inside = b < b0
             start = np.where(inside, (mo[b] - mol[i0]) * width + a - f0,
                              near.size + (mo[b] - mol[b0]) * later.shape[1] + a - i0)
             count = mo[b + 1] - mo[b]
