@@ -158,8 +158,8 @@ def batch_fleet() -> list[np.ndarray]:
 
 
 BATCHES = [
-    ("sspd", lambda store, ia, ib: sspd_batch(store, ia, ib), frozen_sspd),
-    ("hausdorff", lambda store, ia, ib: hausdorff_batch(store, ia, ib), frozen_hausdorff),
+    ("sspd", sspd_batch, frozen_sspd),
+    ("hausdorff", hausdorff_batch, frozen_hausdorff),
     ("sowd", lambda store, ia, ib: sowd_batch(store, ia, ib, owd_samples(store, 1.7)),
      lambda a, b: frozen_sowd(a, b, 1.7)),
 ]
