@@ -85,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linkage", choices=LINKAGES, default="ward")
     p.add_argument("--k", type=int, default=None, help="cluster count (hca)")
     p.add_argument("--preference", default="min-similarity",
-                   help="AP preference: a number, or 'min-similarity' / 'min-distance'")
+                   help="AP preference in similarity space (similarity = -distance): "
+                        "a number, or 'min-similarity' (the default)")
     p.add_argument("--damping", type=float, default=0.5)
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--convergence-iter", type=int, default=15)
@@ -166,12 +167,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         exemplars = {c: exemplar(assignment.members(c), m) for c in range(assignment.k)}
         note = f"hca/{args.linkage} k={assignment.k}"
     else:
-        preference = args.preference
-        if preference == "min-distance":
-            off = m.values[~np.eye(len(m), dtype=bool)]
-            preference = float(off.min()) if off.size else 0.0
-        elif preference != "min-similarity":
-            preference = float(preference)
+        try:
+            preference = float(args.preference)
+        except ValueError:  # a name: affinity_propagation knows which ones it takes
+            preference = args.preference
         result = affinity_propagation(m, preference=preference, damping=args.damping,
                                       max_iter=args.max_iter,
                                       convergence_iter=args.convergence_iter)

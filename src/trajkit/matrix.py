@@ -119,15 +119,15 @@ class DistanceSpec:
         return self.name
 
 
-#: Distance name -> (single-pair kernel, batch kernel over a PointStore or
-#: None, the DistanceSpec fields passed to either as parameters).
+#: Distance name -> (single-pair kernel, batch kernel over a PointStore,
+#: the DistanceSpec fields passed to either as parameters).
 _KERNELS = {
     "dtw": (warping.dtw, warping.dtw_batch, ()),
     "dlcss": (warping.dlcss, warping.dlcss_batch, ("eps_d",)),
     "edr": (warping.edr, warping.edr_batch, ("eps_d",)),
     "erp": (warping.erp, warping.erp_batch, ("gap",)),
     "hausdorff": (shape.hausdorff, shape.hausdorff_batch, ()),
-    "frechet": (shape.frechet, None, ()),
+    "frechet": (shape.frechet, shape.frechet_batch, ()),
     "discrete_frechet": (shape.discrete_frechet, warping.coupling_batch, ()),
     "sowd": (shape.sowd, shape.sowd_batch, ("samples_per_unit",)),
     "sspd": (sspd.sspd, sspd.sspd_batch, ()),
@@ -138,7 +138,7 @@ _KERNELS = {
 _BATCH_PARAMS = {"sowd": lambda store, density: (shape.owd_samples(store, density),)}
 
 
-def _bind(spec: DistanceSpec) -> tuple[Callable, Callable | None, tuple]:
+def _bind(spec: DistanceSpec) -> tuple[Callable, Callable, tuple]:
     func, batch, fields = _KERNELS[spec.name]
     return func, batch, tuple(getattr(spec, f) for f in fields)
 
@@ -230,17 +230,16 @@ def _pair_indices(n: int, start: int, end: int) -> tuple[np.ndarray, np.ndarray]
 
 def _eval_range(job: tuple, bounds: tuple[int, int]) -> tuple[int, np.ndarray, list]:
     """Distances of the pairs at flat positions ``bounds``, and the pairs
-    that failed as (flat position, i, j, message). A batch kernel runs the
-    range at once; without one, or if it raises, each pair runs alone."""
+    that failed as (flat position, i, j, message). The batch kernel runs
+    the range at once; if it raises, each pair runs alone."""
     store, spec, batch_params = job
     func, batch, params = _bind(spec)
     start, end = bounds
     ia, ib = _pair_indices(len(store.offsets) - 1, start, end)
-    if batch is not None:
-        try:
-            return start, batch(store, ia, ib, *batch_params), []
-        except Exception:  # re-run below, pair by pair, to name the failing pairs
-            pass
+    try:
+        return start, batch(store, ia, ib, *batch_params), []
+    except Exception:  # re-run below, pair by pair, to name the failing pairs
+        pass
     values, failures = np.zeros(len(ia)), []
     for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
         try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -191,21 +191,109 @@ class _FreeSpace:
             return True
         return False
 
-    def candidates(self) -> np.ndarray:
-        """Sorted unique search radii: per-cell segment-pair values plus
-        the forced start/end vertex distances.
+    def near(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex-to-segment distances: each vertex of P to each segment of Q,
+        (n, m-1), and each vertex of Q to each segment of P, (m, n-1).
 
-        Each cell value is the larger of the four vertex-to-segment
-        distances of its segment pair, evaluated at the clamped orthogonal
-        projection parameter of the stored quadratic.
+        Each is the stored quadratic at its clamped orthogonal projection
+        parameter; these are the type-(b) critical values.
         """
         tv = np.clip(-self.vb / np.where(self.qa > 0, 2 * self.qa, 1), 0.0, 1.0)
         dv = np.sqrt(np.maximum(self.qa * tv ** 2 + self.vb * tv + self.vc, 0.0))
         th = np.clip(-self.hb / np.where(self.pa > 0, 2 * self.pa, 1), 0.0, 1.0)
         dh = np.sqrt(np.maximum(self.pa * th ** 2 + self.hb * th + self.hc, 0.0))
+        return dv, dh
+
+    def candidates(self, near: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """Sorted unique search radii: per-cell segment-pair values plus
+        the forced start/end vertex distances.
+
+        Each cell value is the larger of the four vertex-to-segment
+        distances of its segment pair (:meth:`near`, passed in or computed).
+        """
+        dv, dh = self.near() if near is None else near
         cell = np.maximum.reduce([dv[:-1, :], dv[1:, :], dh[:-1, :].T, dh[1:, :].T])
         vals = np.concatenate([cell.ravel(), [self.d_start, self.d_end]])
         return np.unique(vals)
+
+    def critical_values(self, near: tuple[np.ndarray, np.ndarray], lo: float, hi: float) -> np.ndarray:
+        """Alt & Godau's critical radii in [lo, hi], sorted and unique: (a)
+        the endpoint distances, (b) the vertex-to-segment distances
+        ``near``, and (c) on each segment, the distance to two vertices
+        k < l of the other curve from the point equidistant to both, where
+        it lies on the segment (t = (c_l - c_k) / (b_k - b_l) in [0, 1])."""
+        dv, dh = near
+        vals = [np.array([self.d_start, self.d_end]), dv.ravel(), dh.ravel()]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals += _equidistant(self.qa, self.vb, self.vc, lo, hi)
+            vals += _equidistant(self.pa, self.hb, self.hc, lo, hi)
+        vals = np.concatenate(vals)
+        return np.unique(vals[(vals >= lo) & (vals <= hi)])
+
+
+_TRIPLES = 1 << 16  # (vertex pair, segment) type-(c) values computed in one step
+
+
+@lru_cache(maxsize=64)
+def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, 1)
+
+
+def _equidistant(a2: np.ndarray, b: np.ndarray, c: np.ndarray, lo: float, hi: float) -> list:
+    """Type-(c) values in [lo, hi] on segments with squared lengths ``a2``,
+    against the vertices whose quadratics a2*t^2 + b[k]*t + c[k] the rows
+    of b and c hold; in blocks of segments of about _TRIPLES values."""
+    k, l = _vertex_pairs(b.shape[0])
+    step = max(1, _TRIPLES // max(1, len(k)))
+    out = []
+    for s in range(0, len(a2), step):
+        bs, cs = b[:, s:s + step], c[:, s:s + step]
+        bk, ck = bs[k], cs[k]
+        t = (cs[l] - ck) / (bk - bs[l])  # 0/0 and x/0 (equal or degenerate) fail the test below
+        on = (t >= 0.0) & (t <= 1.0)
+        t = t[on]
+        d = np.sqrt(np.maximum(np.broadcast_to(a2[s:s + step], on.shape)[on] * t * t
+                               + bk[on] * t + ck[on], 0.0))
+        out.append(d[(d >= lo) & (d <= hi)])
+    return out
+
+
+class _Memo:
+    """The decisions of one pair's search, answered from the two radii
+    that bound the answer where they can.
+
+    ``lo`` is the largest radius a real :meth:`_FreeSpace.feasible` call
+    rejected and ``hi`` the smallest it accepted. A radius at or below
+    ``lo`` is rejected and one at or above ``hi`` accepted without a call;
+    any other radius, NaN included, runs the decision and moves a bound
+    (a NaN bound only sends later radii on its side to the decision).
+
+    This returns the decision's own bits because the decision is monotone
+    in ``eps`` under IEEE rounding. The sign and endpoint tests are plain
+    comparisons with ``eps``. ``eps2``, ``disc`` and ``root`` grow with
+    ``eps`` (each is a correctly rounded, monotone operation on it), so
+    every interval's ``lo`` only falls and its ``hi`` only rises, and the
+    emptiness tests and the clamps to [0, 1] are monotone. Reachable
+    intervals, built from those with ``max`` and the same tests, therefore
+    only grow, and so does the final test at the far corner. So every
+    radius the memo answers would have been answered the same by a call.
+    """
+
+    def __init__(self, space: _FreeSpace) -> None:
+        self.space = space
+        self.lo = -math.inf
+        self.hi = math.inf
+
+    def feasible(self, eps: float) -> bool:
+        if eps <= self.lo:
+            return False
+        if eps >= self.hi:
+            return True
+        if self.space.feasible(eps):
+            self.hi = eps
+            return True
+        self.lo = eps
+        return False
 
 
 def frechet_candidates(t1, t2) -> np.ndarray:
@@ -228,29 +316,19 @@ def frechet_feasible(t1, t2, eps: float) -> bool:
     return _FreeSpace(a, b).feasible(float(eps))
 
 
-def frechet(t1, t2) -> float:
-    """Continuous Frechet distance between two polylines.
-
-    Binary search over the candidate radii (segment-pair Frechet values
-    plus the forced endpoint distances) with the free-space feasibility
-    decision, then a bisection refinement inside the final bracket: the
-    candidate list can skip the exact critical value when the bottleneck
-    is a monotonicity constraint rather than a boundary opening.
-    """
-    a = _shape_points(t1, "frechet")
-    b = _shape_points(t2, "frechet")
-    fs = _FreeSpace(a, b)
-    cand = fs.candidates()
+def _search(decide, cand: np.ndarray) -> float:
+    """Binary search of ``decide`` over the candidate radii, the doubling
+    fallback, then bisection to relative 1e-12 inside the final bracket."""
     lo_i, hi_i = 0, len(cand) - 1
-    if fs.feasible(float(cand[lo_i])):
+    if decide(float(cand[lo_i])):
         return float(cand[lo_i])
-    if not fs.feasible(float(cand[hi_i])):
+    if not decide(float(cand[hi_i])):
         # The largest segment-pair value admits a staircase traversal, so
         # this only guards numerical corner cases.
         hi = float(cand[hi_i]) if cand[hi_i] > 0 else 1.0
         for _ in range(64):
             hi *= 2.0
-            if fs.feasible(hi):
+            if decide(hi):
                 break
         else:
             raise RuntimeError("frechet: no feasible radius found")
@@ -258,7 +336,7 @@ def frechet(t1, t2) -> float:
     else:
         while hi_i - lo_i > 1:
             mid = (lo_i + hi_i) // 2
-            if fs.feasible(float(cand[mid])):
+            if decide(float(cand[mid])):
                 hi_i = mid
             else:
                 lo_i = mid
@@ -268,11 +346,86 @@ def frechet(t1, t2) -> float:
     tol = max(1e-13, 1e-12 * hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if fs.feasible(mid):
+        if decide(mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+_BOUND_MARGIN = 1e-9  # relative slack on the bounds that select critical values
+_SWITCH_MARGIN = 1e-14  # relative half-width of the probes around the decision's switch
+
+
+def _frechet_pair(p: np.ndarray, q: np.ndarray, upper: float) -> float:
+    """:func:`_search` through a :class:`_Memo`, seeded first.
+
+    After the search's own first probe, a binary search over the critical
+    values between the pair's lower bound (endpoint and vertex-to-carrier
+    distances) and ``upper``, its discrete Frechet distance, finds the
+    smallest feasible one, c; probes on either side of where the decision
+    switches near c then leave the search little to decide. Seeds only
+    move the memo's bounds, so they can cost probes but not change bits.
+    """
+    fs = _FreeSpace(p, q)
+    memo = _Memo(fs)
+    near = fs.near()
+    cand = fs.candidates(near)
+    if memo.feasible(float(cand[0])):
+        return float(cand[0])
+    dv, dh = near
+    lower = max(fs.d_start, fs.d_end, float(dv.min(axis=1).max()), float(dh.min(axis=1).max()))
+    if upper <= lower:  # the bounds meet: the answer is the lower bound, itself a critical value
+        crit = np.array([lower])
+    else:
+        crit = fs.critical_values(near, lower * (1.0 - _BOUND_MARGIN), upper * (1.0 + _BOUND_MARGIN))
+    lo_i, hi_i = -1, len(crit)
+    while hi_i - lo_i > 1:
+        mid = (lo_i + hi_i) // 2
+        if memo.feasible(float(crit[mid])):
+            hi_i = mid
+        else:
+            lo_i = mid
+    if hi_i < len(crit):
+        c = float(crit[hi_i])
+        if c <= max(fs.d_start, fs.d_end):  # the decision's endpoint test switches at c itself
+            memo.feasible(math.nextafter(c, -math.inf))
+        else:
+            # The decision inflates its radius by 1 + 1e-12, so it switches
+            # just below the smallest feasible critical value: bracket that point.
+            switch = c / (1.0 + 1e-12)
+            memo.feasible(switch * (1.0 - _SWITCH_MARGIN))
+            memo.feasible(switch * (1.0 + _SWITCH_MARGIN))
+    return _search(memo.feasible, cand)
+
+
+def frechet_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """frechet of each pair (ia[k], ib[k]) of sequences of ``store``."""
+    if (store.lengths(ia) < 2).any() or (store.lengths(ib) < 2).any():
+        raise ValueError("frechet: needs trajectories with at least 2 points")
+    upper = warping.coupling_batch(store, ia, ib).tolist()
+    return np.array([_frechet_pair(store[i], store[j], up)
+                     for i, j, up in zip(ia.tolist(), ib.tolist(), upper)])
+
+
+def frechet(t1, t2) -> float:
+    """Continuous Frechet distance between two polylines.
+
+    Binary search over the candidate radii (segment-pair Frechet values
+    plus the forced endpoint distances) with the free-space feasibility
+    decision, then a bisection refinement inside the final bracket: the
+    candidate list can skip the exact critical value when the bottleneck
+    is a monotonicity constraint rather than a boundary opening.
+
+    The search's decisions go through a memo of the tightest radii a real
+    decision rejected and accepted, seeded by a binary search over the
+    Alt-Godau critical values between the vertex Hausdorff distance and
+    the discrete Frechet distance: a pair runs about 3 decisions instead
+    of about 40, and the result is bit for bit that of the search alone.
+    """
+    a = _shape_points(t1, "frechet")
+    b = _shape_points(t2, "frechet")
+    return warping.on_pair(frechet_batch, None, a, b)
 
 
 # ---------------------------------------------------------------------------

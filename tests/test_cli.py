@@ -150,6 +150,20 @@ class TestErrorPaths:
         assert rc == 1
         assert "--k" in capsys.readouterr().err
 
+    def test_unknown_ap_preference_is_a_clean_failure(self, pipeline, capsys):
+        main(["synth", str(pipeline["spec"]), "-o", str(pipeline["dataset"]), "--seed", "1"])
+        main(["matrix", str(pipeline["dataset"]), "-o", str(pipeline["matrix"]),
+              "--distance", "sspd"])
+        cluster = ["cluster", str(pipeline["matrix"]), "-o", str(pipeline["clusters"]),
+                   "--method", "ap"]
+        capsys.readouterr()
+        assert main(cluster + ["--preference", "min-distance"]) == 1
+        assert ("unknown preference 'min-distance'; pass a number or 'min-similarity'"
+                in capsys.readouterr().err)
+        assert not pipeline["clusters"].exists()
+        assert main(cluster + ["--preference=-40.5"]) == 0
+        assert "preference=-40.5," in capsys.readouterr().out
+
     def test_missing_input_file_is_a_clean_failure(self, tmp_path, capsys):
         rc = main(["matrix", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.trjd"),
                    "--distance", "dtw"])

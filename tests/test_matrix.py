@@ -194,6 +194,21 @@ class TestComputeMatrix:
         assert "failed on 2 pair(s)" in message
         assert message.index("('t0', 'stuck')") < message.index("('stuck', 't1')")
 
+    def test_a_single_point_walk_fails_frechet_the_same_at_any_worker_count(self):
+        # The batch kernel raises, and the per-pair fallback names each pair.
+        fleet = small_fleet(n=4)
+        dot = Trajectory(id="dot", points=[(1.0, 1.0), (2.0, 1.0)])
+        object.__setattr__(dot, "points", np.array([(1.0, 1.0)]))  # Trajectory needs 2 points
+        messages = set()
+        for workers in (1, 2, 4):
+            with pytest.raises(MatrixComputationError) as err:
+                compute_matrix(fleet[:2] + [dot] + fleet[2:], "frechet", workers=workers)
+            messages.add(str(err.value))
+        reason = "ValueError: frechet: needs trajectories with at least 2 points"
+        assert messages == {"frechet failed on 4 pair(s): " + "; ".join(
+            f"({a!r}, {b!r}): {reason}" for a, b in [("t0", "dot"), ("t1", "dot"),
+                                                    ("dot", "t2"), ("dot", "t3")])}
+
     def test_failure_report_is_capped(self):
         fleet = small_fleet(n=12)
         stuck = Trajectory(id="stuck", points=[(1.0, 1.0), (1.0, 1.0)])

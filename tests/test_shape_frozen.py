@@ -1,8 +1,8 @@
 """The continuous Frechet, OWD, SPD and Hausdorff kernels against frozen
-copies of the numpy-indexed free-space decision, the per-segment owd loop
-and the unblocked point-to-carrier calls they replaced; and the batch
-kernels of sspd, hausdorff and sowd, and their matrix entries, against the
-same frozen copies."""
+copies of the numpy-indexed free-space decision and candidate search, the
+per-segment owd loop and the unblocked point-to-carrier calls they
+replaced; and the batch kernels of frechet, sspd, hausdorff and sowd, and
+their matrix entries, against the same frozen copies."""
 
 import tracemalloc
 
@@ -11,7 +11,8 @@ import pytest
 
 from trajkit import (DistanceSpec, Trajectory, compute_matrix, frechet, frechet_feasible, geometry,
                      hausdorff, matrix, owd, shape, sowd, spd, sspd)
-from trajkit.shape import frechet_candidates, hausdorff_batch, owd_samples, sowd_batch
+from trajkit.shape import (frechet_batch, frechet_candidates, hausdorff_batch, owd_samples,
+                           sowd_batch)
 from trajkit.sspd import sspd_batch
 from trajkit.warping import PointStore
 
@@ -59,15 +60,59 @@ def pairs(seed: int, count: int):
 
 
 def test_frechet_equals_the_frozen_search_probe_for_probe(monkeypatch):
+    # The search's memo answers most probes from the radii a real decision
+    # rejected and accepted: every decision that does run agrees with the
+    # frozen one, and no pair runs more of them than the frozen search.
     probes = []
     feasible = shape._FreeSpace.feasible
     monkeypatch.setattr(shape._FreeSpace, "feasible",
-                        lambda fs, eps: probes.append(eps) or feasible(fs, eps))
+                        lambda fs, eps: probes.append((eps, feasible(fs, eps))) or probes[-1][1])
+    counts = []
     for a, b in pairs(131, 30):
         frozen = FrozenFreeSpace(a, b)
         probes.clear()
         assert frechet(a, b) == frozen_frechet(a, b, frozen)
-        assert len(probes) == frozen.probes
+        assert len(probes) <= frozen.probes
+        assert all(ok is frozen.feasible(eps) for eps, ok in probes)
+        counts.append(len(probes))
+    assert np.mean(counts) <= 8
+
+
+def test_the_memo_runs_the_decision_strictly_inside_its_bracket(monkeypatch):
+    # Radii at or outside the tightest rejected and accepted ones are
+    # answered from them; any radius strictly between runs the decision.
+    calls = []
+    feasible = shape._FreeSpace.feasible
+    monkeypatch.setattr(shape._FreeSpace, "feasible",
+                        lambda fs, eps: calls.append(eps) or feasible(fs, eps))
+    for a, b in pairs(139, 6):
+        fs = shape._FreeSpace(a, b)
+        d = frechet(a, b)
+        if d == 0.0:
+            continue
+        memo = shape._Memo(fs)
+        for eps, runs in [(0.5 * d, True), (2.0 * d, True), (0.25 * d, False), (0.5 * d, False),
+                          (2.0 * d, False), (3.0 * d, False), (np.nextafter(0.5 * d, np.inf), True),
+                          (np.nextafter(2.0 * d, 0.0), True), (d, True), (np.nan, True),
+                          (d, False)]:
+            calls.clear()
+            assert memo.feasible(eps) is feasible(fs, eps)
+            assert len(calls) == runs, (eps, memo.lo, memo.hi)
+
+
+def test_feasibility_is_monotone_in_the_radius():
+    # What the memo relies on: along a sorted sweep through every radius
+    # where the decision can switch, it never goes from True back to False.
+    for a, b in pairs(137, 15):
+        fs = shape._FreeSpace(a, b)
+        near = fs.near()
+        crit = fs.critical_values(near, 0.0, np.inf)
+        radii = np.concatenate([fs.candidates(near), crit, [frechet(a, b)]])
+        switch = crit / (1.0 + 1e-12)
+        radii = np.concatenate([radii, np.nextafter(radii, -np.inf), np.nextafter(radii, np.inf),
+                                switch * (1.0 - 1e-14), switch * (1.0 + 1e-14)])
+        decisions = [fs.feasible(eps) for eps in np.unique(radii).tolist()]
+        assert decisions == sorted(decisions)
 
 
 def test_feasibility_equals_the_frozen_decision_at_candidate_values():
@@ -82,6 +127,15 @@ def test_feasibility_equals_the_frozen_decision_at_candidate_values():
         radii += np.linspace(0.0, 1.5 * d + 0.1, 41).tolist()
         for eps in radii:
             assert frechet_feasible(a, b, eps) is frozen.feasible(float(eps))
+
+
+def test_critical_values_are_the_same_in_blocks_of_any_size(monkeypatch):
+    spaces = [shape._FreeSpace(a, b) for a, b in pairs(137, 15)]
+    whole = [fs.critical_values(fs.near(), 0.0, np.inf) for fs in spaces]
+    for block in (1, 100):
+        monkeypatch.setattr(shape, "_TRIPLES", block)
+        for fs, want in zip(spaces, whole):
+            assert np.array_equal(fs.critical_values(fs.near(), 0.0, np.inf), want)
 
 
 @pytest.mark.parametrize("density", [0.37, 1.0, 4.0])
@@ -158,6 +212,7 @@ def batch_fleet() -> list[np.ndarray]:
 
 
 BATCHES = [
+    ("frechet", frechet_batch, frozen_frechet),
     ("sspd", sspd_batch, frozen_sspd),
     ("hausdorff", hausdorff_batch, frozen_hausdorff),
     ("sowd", lambda store, ia, ib: sowd_batch(store, ia, ib, owd_samples(store, 1.7)),
