@@ -204,14 +204,14 @@ class _FreeSpace:
         dh = np.sqrt(np.maximum(self.pa * th ** 2 + self.hb * th + self.hc, 0.0))
         return dv, dh
 
-    def candidates(self, near: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    def candidates(self, near: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Sorted unique search radii: per-cell segment-pair values plus
         the forced start/end vertex distances.
 
         Each cell value is the larger of the four vertex-to-segment
-        distances of its segment pair (:meth:`near`, passed in or computed).
+        distances ``near`` (from :meth:`near`) of its segment pair.
         """
-        dv, dh = self.near() if near is None else near
+        dv, dh = near
         cell = np.maximum.reduce([dv[:-1, :], dv[1:, :], dh[:-1, :].T, dh[1:, :].T])
         vals = np.concatenate([cell.ravel(), [self.d_start, self.d_end]])
         return np.unique(vals)
@@ -302,7 +302,8 @@ def frechet_candidates(t1, t2) -> np.ndarray:
     sorted ascending."""
     a = _shape_points(t1, "frechet")
     b = _shape_points(t2, "frechet")
-    return _FreeSpace(a, b).candidates()
+    fs = _FreeSpace(a, b)
+    return fs.candidates(fs.near())
 
 
 def frechet_feasible(t1, t2, eps: float) -> bool:
