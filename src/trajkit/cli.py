@@ -121,19 +121,31 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    doc = json.loads(args.spec.read_text(encoding="utf-8"))
-    bundle_docs = doc.get("bundles")
-    if not bundle_docs:
-        raise ValueError(f"{args.spec}: spec JSON needs a nonempty 'bundles' list")
+def _bundles(path: Path) -> list[BundleSpec]:
+    """The bundles of a synth spec file; a malformed spec raises a ValueError naming the file."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    docs = doc.get("bundles") if isinstance(doc, dict) else None
+    if not isinstance(docs, list) or not docs:
+        raise ValueError(f"{path}: spec JSON needs to be an object with a nonempty 'bundles' list")
     bundles = []
-    for b in bundle_docs:
-        bundles.append(BundleSpec(
-            anchor=np.asarray(b["anchor"], dtype=np.float64),
-            count=int(b["count"]),
-            jitter=float(b.get("jitter", 0.0)),
-            points=tuple(b.get("points", (8, 12))),
-        ))
+    for k, b in enumerate(docs):
+        try:
+            if not isinstance(b, dict):
+                raise TypeError("expected an object with 'anchor' and 'count'")
+            bundles.append(BundleSpec(np.asarray(b["anchor"], dtype=np.float64), int(b["count"]),
+                                      float(b.get("jitter", 0.0)), tuple(b.get("points", (8, 12)))))
+        except KeyError as exc:
+            raise ValueError(f"{path}: bundle {k}: missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bundle {k}: {exc}") from None
+    return bundles
+
+
+def _cmd_synth(args: argparse.Namespace) -> int:
+    bundles = _bundles(args.spec)
     ds, labels = synth(bundles, seed=args.seed)
     save_dataset(ds, args.output)
     if args.labels is not None:

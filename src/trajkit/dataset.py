@@ -83,8 +83,8 @@ def _parse_time(text: str, line_no: int) -> float:
     return stamp.timestamp()
 
 
-def _read_rows(path: Path) -> tuple[bool, bool, list[tuple[str, float, float, float | None]]]:
-    """Parse a trajectory CSV. Returns (is_geographic, has_time, rows)."""
+def _read_rows(path: Path) -> tuple[bool, list[tuple[str, float, float, float | None]]]:
+    """Parse a trajectory CSV. Returns (is_geographic, rows)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -105,7 +105,6 @@ def _read_rows(path: Path) -> tuple[bool, bool, list[tuple[str, float, float, fl
             raise IngestError(f"{path}: header must name x,y or lat,lon coordinate columns")
         t_col = next((cols.index(c) for c in ("t", "time", "timestamp") if c in cols), None)
         rows = []
-        has_time = False
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -122,9 +121,8 @@ def _read_rows(path: Path) -> tuple[bool, bool, list[tuple[str, float, float, fl
             t: float | None = None
             if t_col is not None and row[t_col].strip():
                 t = _parse_time(row[t_col].strip(), line_no)
-                has_time = True
             rows.append((tid, a, b, t))
-    return geographic, has_time, rows
+    return geographic, rows
 
 
 def _read_geojson(path: Path) -> list[tuple[str, float, float, float | None]]:
@@ -158,6 +156,19 @@ def _read_geojson(path: Path) -> list[tuple[str, float, float, float | None]]:
                 t = times[p] if isinstance(times[p], (int, float)) else _parse_time(str(times[p]), p)
             rows.append((str(tid), float(pair[1]), float(pair[0]), t))
     return rows
+
+
+def _grouped(rows: list) -> dict[str, list[tuple[float, float, float | None]]]:
+    """The (a, b, t) rows of each trajectory id, ids in order of first
+    appearance. A trajectory's rows must all have a timestamp or all lack one."""
+    by_id: dict[str, list[tuple[float, float, float | None]]] = {}
+    for tid, a, b, t in rows:
+        by_id.setdefault(tid, []).append((a, b, t))
+    for tid, recs in by_id.items():
+        timed = [r[2] is not None for r in recs]
+        if any(timed) != all(timed):
+            raise IngestError(f"trajectory {tid!r}: some rows have timestamps and some do not")
+    return by_id
 
 
 def _in_box(point: np.ndarray, box: tuple[float, float, float, float]) -> bool:
@@ -200,7 +211,7 @@ def ingest(
     """
     path = Path(path)
     if fmt == "csv":
-        geographic, _, rows = _read_rows(path)
+        geographic, rows = _read_rows(path)
         if geographic and not wgs84:
             raise IngestError(f"{path}: lat/lon columns found; pass wgs84=True to project them")
         if not geographic and wgs84:
@@ -211,19 +222,12 @@ def ingest(
     else:
         raise ValueError(f"unknown format {fmt!r}; expected csv or geojson")
 
-    by_id: dict[str, list[tuple[float, float, float | None]]] = {}
-    for tid, a, b, t in rows:
-        by_id.setdefault(tid, []).append((a, b, t))
-
+    by_id = _grouped(rows)
     dropped = {"too_short": 0, "start_box": 0, "end_box": 0}
     min_points = max(2, int(min_points))
     kept: list[tuple[str, np.ndarray, np.ndarray | None]] = []
     for tid, recs in by_id.items():
-        stamps = [r[2] for r in recs]
-        with_time = [s for s in stamps if s is not None]
-        if with_time and len(with_time) != len(stamps):
-            raise IngestError(f"trajectory {tid!r}: some rows have timestamps and some do not")
-        if with_time:
+        if recs[0][2] is not None:
             recs = sorted(recs, key=lambda r: r[2])
             ts = np.array([r[2] for r in recs])
             if np.any(np.diff(ts) <= 0):
@@ -387,14 +391,11 @@ def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     """
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("traj_id,x,y,t\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["traj_id", "x", "y", "t"])
         for traj in dataset.trajectories:
-            ts = traj.timestamps
-            for k in range(len(traj)):
-                t_txt = repr(float(ts[k])) if ts is not None else ""
-                x_txt = repr(float(traj.points[k, 0]))
-                y_txt = repr(float(traj.points[k, 1]))
-                fh.write(f"{traj.id},{x_txt},{y_txt},{t_txt}\n")
+            ts = [""] * len(traj) if traj.timestamps is None else map(repr, traj.timestamps.tolist())
+            out.writerows([traj.id, repr(x), repr(y), t] for (x, y), t in zip(traj.points.tolist(), ts))
     meta = {"crs": dataset.crs, "provenance": dataset.provenance}
     _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
@@ -402,16 +403,12 @@ def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> TrajectoryDataset:
     """Read a canonical planar dataset CSV (and its sidecar, if present)."""
     path = Path(path)
-    geographic, _, rows = _read_rows(path)
+    geographic, rows = _read_rows(path)
     if geographic:
         raise IngestError(f"{path}: canonical datasets are planar; run ingest for lat/lon data")
-    by_id: dict[str, list[tuple[float, float, float | None]]] = {}
-    for tid, a, b, t in rows:
-        by_id.setdefault(tid, []).append((a, b, t))
     trajectories = []
-    for tid, recs in by_id.items():
-        stamps = [r[2] for r in recs]
-        ts = np.array(stamps, dtype=np.float64) if all(s is not None for s in stamps) else None
+    for tid, recs in _grouped(rows).items():
+        ts = None if recs[0][2] is None else np.array([r[2] for r in recs], dtype=np.float64)
         pts = np.array([(r[0], r[1]) for r in recs], dtype=np.float64)
         trajectories.append(Trajectory(tid, pts, ts))
     crs: dict = {"kind": "planar"}

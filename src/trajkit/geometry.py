@@ -189,14 +189,14 @@ def _picks(values: np.ndarray, start: np.ndarray, stride, count: np.ndarray) -> 
     return values[start[k] + r * np.broadcast_to(stride, count.shape)[k]]
 
 
-def _tiles(mo: list, co: list, ia: np.ndarray, ib: np.ndarray, back: bool):
+def _tiles(mo: list, co: list, ia: np.ndarray, ib: np.ndarray):
     """The tiles of :func:`carrier_pairs`: (first pair, end pair, i0, i1, c0, c1)."""
     n = len(co) - 1
 
     def fits(i0: int, i1: int) -> bool:  # whole rows i0..i1 in one tile, columns i0..n-1
         return ((mo[i1 + 1] - mo[i0]) * (n - i0) <= _BLOCK and co[n] - co[i0] - 1 <= _BLOCK
-                and (not back or ((mo[n] - mo[i1 + 1]) * (i1 - i0 + 1) <= _BLOCK
-                                  and co[i1 + 1] - co[i0] - 1 <= _BLOCK)))
+                and (mo[n] - mo[i1 + 1]) * (i1 - i0 + 1) <= _BLOCK
+                and co[i1 + 1] - co[i0] - 1 <= _BLOCK)
 
     runs = np.flatnonzero((np.diff(ia, prepend=-1) != 0) | (np.diff(ib, prepend=-2) != 1)).tolist()
     ends = runs[1:] + [len(ia)]
@@ -214,24 +214,22 @@ def _tiles(mo: list, co: list, ia: np.ndarray, ib: np.ndarray, back: bool):
             continue
         i, c, k = row[r], col[r], runs[r]
         while k < ends[r]:  # one row, in blocks of columns
-            e = min(c + ends[r] - k, c + _BLOCK // max(1, mo[i + 1] - mo[i]),
-                    bisect.bisect_right(co, co[c] + 1 + _BLOCK) - 1)
-            if back:
-                e = min(e, bisect.bisect_right(mo, mo[c] + _BLOCK) - 1)
-            e = max(e, c + 1)
+            e = max(c + 1, min(c + ends[r] - k, c + _BLOCK // max(1, mo[i + 1] - mo[i]),
+                               bisect.bisect_right(co, co[c] + 1 + _BLOCK) - 1,
+                               bisect.bisect_right(mo, mo[c] + _BLOCK) - 1))
             yield k, k + e - c, i, i, c, e
             k, c = k + e - c, e
         r += 1
 
 
-def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray, reduce,
-                  back: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
+                  reduce) -> tuple[np.ndarray, np.ndarray]:
     """Point-to-carrier distances of pairs of packed sequences, reduced per pair.
 
     For pair k, ``reduce`` turns the distances from the points of
     ``measured[ia[k]]`` to the polyline ``carriers[ib[k]]`` into the forward
-    value; with ``back``, those from ``measured[ib[k]]`` to ``carriers[ia[k]]``
-    into the backward one. ``measured`` and ``carriers`` are point stores
+    value, and those from ``measured[ib[k]]`` to ``carriers[ia[k]]`` into
+    the backward one. ``measured`` and ``carriers`` are point stores
     (``xy``, ``offsets``) over the same sequences; ``measured`` may hold
     other points of each sequence than its vertices.
 
@@ -251,27 +249,25 @@ def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray, reduce,
     """
     mo, co = measured.offsets, carriers.offsets
     mol = mo.tolist()
-    out: tuple[list, list] = ([], [])
-    for k0, k1, i0, i1, c0, c1 in _tiles(mol, co.tolist(), ia, ib, back):
+    fwd, bwd = [np.empty(0)], [np.empty(0)]
+    for k0, k1, i0, i1, c0, c1 in _tiles(mol, co.tolist(), ia, ib):
         a, b = ia[k0:k1], ib[k0:k1]
         f0 = i0 if i1 > i0 else c0  # the first carrier of the forward call
         near = carrier_distances(measured.xy[mol[i0]:mol[i1 + 1]], carriers.xy, co[f0:c1 + 1])
         width = near.shape[1]
         count = mo[a + 1] - mo[a]
-        out[0].append(reduce(_picks(near.ravel(), (mo[a] - mol[i0]) * width + b - f0, width, count),
-                             a, count))
-        if back:
-            b0 = i1 + 1 if i1 > i0 else c0  # the first column whose points the backward call takes
-            later = carrier_distances(measured.xy[mol[b0]:mol[c1]], carriers.xy, co[i0:i1 + 2])
-            inside = b < b0
-            start = np.where(inside, (mo[b] - mol[i0]) * width + a - f0,
-                             near.size + (mo[b] - mol[b0]) * later.shape[1] + a - i0)
-            count = mo[b + 1] - mo[b]
-            flat = _picks(np.concatenate([near.ravel(), later.ravel()]), start,
-                          np.where(inside, width, later.shape[1]), count)
-            out[1].append(reduce(flat, b, count))
-    fwd = np.concatenate(out[0] or [np.empty(0)])
-    return fwd, np.concatenate(out[1] or [np.empty(0)]) if back else None
+        fwd.append(reduce(_picks(near.ravel(), (mo[a] - mol[i0]) * width + b - f0, width, count),
+                          a, count))
+        b0 = i1 + 1 if i1 > i0 else c0  # the first column whose points the backward call takes
+        later = carrier_distances(measured.xy[mol[b0]:mol[c1]], carriers.xy, co[i0:i1 + 2])
+        inside = b < b0
+        start = np.where(inside, (mo[b] - mol[i0]) * width + a - f0,
+                         near.size + (mo[b] - mol[b0]) * later.shape[1] + a - i0)
+        count = mo[b + 1] - mo[b]
+        flat = _picks(np.concatenate([near.ravel(), later.ravel()]), start,
+                      np.where(inside, width, later.shape[1]), count)
+        bwd.append(reduce(flat, b, count))
+    return np.concatenate(fwd), np.concatenate(bwd)
 
 
 def project_wgs84(lat, lon, origin_lat: float, origin_lon: float) -> tuple[np.ndarray, np.ndarray]:

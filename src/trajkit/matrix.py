@@ -8,12 +8,13 @@ CSV export mirrors the full symmetric matrix for interoperability.
 
 from __future__ import annotations
 
+import csv
 import functools
 import multiprocessing
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "MatrixFormatError",
     "compute_matrix",
     "load_matrix",
-    "pair_function",
     "save_matrix",
     "save_matrix_csv",
 ]
@@ -119,34 +119,23 @@ class DistanceSpec:
         return self.name
 
 
-#: Distance name -> (single-pair kernel, batch kernel over a PointStore,
-#: the DistanceSpec fields passed to either as parameters).
+#: Distance name -> (batch kernel over a PointStore, the DistanceSpec
+#: fields passed to it as parameters).
 _KERNELS = {
-    "dtw": (warping.dtw, warping.dtw_batch, ()),
-    "dlcss": (warping.dlcss, warping.dlcss_batch, ("eps_d",)),
-    "edr": (warping.edr, warping.edr_batch, ("eps_d",)),
-    "erp": (warping.erp, warping.erp_batch, ("gap",)),
-    "hausdorff": (shape.hausdorff, shape.hausdorff_batch, ()),
-    "frechet": (shape.frechet, shape.frechet_batch, ()),
-    "discrete_frechet": (shape.discrete_frechet, warping.coupling_batch, ()),
-    "sowd": (shape.sowd, shape.sowd_batch, ("samples_per_unit",)),
-    "sspd": (sspd.sspd, sspd.sspd_batch, ()),
+    "dtw": (warping.dtw_batch, ()),
+    "dlcss": (warping.dlcss_batch, ("eps_d",)),
+    "edr": (warping.edr_batch, ("eps_d",)),
+    "erp": (warping.erp_batch, ("gap",)),
+    "hausdorff": (shape.hausdorff_batch, ()),
+    "frechet": (shape.frechet_batch, ()),
+    "discrete_frechet": (warping.coupling_batch, ()),
+    "sowd": (shape.sowd_batch, ("samples_per_unit",)),
+    "sspd": (sspd.sspd_batch, ()),
 }
 
 #: Batch kernels whose parameters are built from the packed points, once per
 #: job and before the pool forks, so that every worker shares them.
 _BATCH_PARAMS = {"sowd": lambda store, density: (shape.owd_samples(store, density),)}
-
-
-def _bind(spec: DistanceSpec) -> tuple[Callable, Callable, tuple]:
-    func, batch, fields = _KERNELS[spec.name]
-    return func, batch, tuple(getattr(spec, f) for f in fields)
-
-
-def pair_function(spec: DistanceSpec) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Bind a DistanceSpec to a two-argument distance over point arrays."""
-    func, _, params = _bind(spec)
-    return lambda a, b: float(func(a, b, *params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +183,6 @@ class DistanceMatrix:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def index_of(self, item_id: str) -> int:
-        try:
-            return self.ids.index(item_id)
-        except ValueError:
-            raise KeyError(f"no trajectory {item_id!r} in this matrix") from None
-
 
 def _adopted(ids: tuple, kind: str, values: np.ndarray) -> DistanceMatrix:
     """A DistanceMatrix that keeps ``values``, built by the caller for it, without a copy."""
@@ -231,19 +214,18 @@ def _pair_indices(n: int, start: int, end: int) -> tuple[np.ndarray, np.ndarray]
 def _eval_range(job: tuple, bounds: tuple[int, int]) -> tuple[int, np.ndarray, list]:
     """Distances of the pairs at flat positions ``bounds``, and the pairs
     that failed as (flat position, i, j, message). The batch kernel runs
-    the range at once; if it raises, each pair runs alone."""
-    store, spec, batch_params = job
-    func, batch, params = _bind(spec)
+    the range at once; if it raises, it runs each pair of the range alone."""
+    store, batch, params = job
     start, end = bounds
     ia, ib = _pair_indices(len(store.offsets) - 1, start, end)
     try:
-        return start, batch(store, ia, ib, *batch_params), []
+        return start, batch(store, ia, ib, *params), []
     except Exception:  # re-run below, pair by pair, to name the failing pairs
         pass
     values, failures = np.zeros(len(ia)), []
     for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
         try:
-            values[k] = func(store[i], store[j], *params)
+            values[k] = batch(store, ia[k:k + 1], ib[k:k + 1], *params)[0]
         except Exception as exc:  # reported with the offending pair attached
             failures.append((start + k, i, j, f"{type(exc).__name__}: {exc}"))
     return start, values, failures
@@ -328,10 +310,11 @@ def compute_matrix(
     n = len(trajectories)
     npairs = n * (n - 1) // 2
     store = warping.PointStore.pack([t.points for t in trajectories])
-    params = _bind(spec)[2]
+    batch, fields = _KERNELS[spec.name]
+    params = tuple(getattr(spec, f) for f in fields)
     if spec.name in _BATCH_PARAMS:
         params = _BATCH_PARAMS[spec.name](store, *params)
-    job = (store, spec, params)
+    job = (store, batch, params)
     # A serial range is 16 DP batches, and holds whole rows for the carrier
     # kernels; the pool gives each worker about 8 ranges.
     size = 16 * warping.CHUNK if workers == 1 else max(1, npairs // (workers * 8))
@@ -421,9 +404,11 @@ def load_matrix(path: str | Path) -> DistanceMatrix:
 
 def save_matrix_csv(m: DistanceMatrix, path: str | Path) -> None:
     """Write the full symmetric matrix as CSV: a header row of ids, then
-    one row per item. Floats are rendered with ``repr`` so that re-parsing
-    reproduces the stored values bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id," + ",".join(m.ids) + "\n")
+    one row per item, quoted where the ``csv`` module needs it. Floats are
+    rendered with ``repr`` so that re-parsing reproduces the stored values
+    bit-exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["id", *m.ids])
         for item_id, row in zip(m.ids, m.values):
-            fh.write(item_id + "," + ",".join(repr(v) for v in row.tolist()) + "\n")
+            out.writerow([item_id, *map(repr, row.tolist())])

@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import warping
-from .geometry import as_points, carrier_pairs, segment_lengths, window_sums
+from .geometry import as_points, carrier_distances, carrier_pairs, segment_lengths, window_sums
 from .warping import _PAIR, PointStore
 
 __all__ = [
@@ -41,6 +41,7 @@ def _maxima(flat: np.ndarray, walks: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def hausdorff_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """hausdorff of each pair (ia[k], ib[k]) of sequences of ``store``."""
+    store.require_carriers(ia, ib, "hausdorff: needs trajectories with at least 2 points")
     return np.maximum(*carrier_pairs(store, store, ia, ib, _maxima))
 
 
@@ -52,9 +53,7 @@ def hausdorff(t1, t2) -> float:
     returned, as traj-dist computes it. The max-min distance between the
     continuous polylines can be larger, as its maximum can lie inside a segment.
     """
-    a = _shape_points(t1, "hausdorff")
-    b = _shape_points(t2, "hausdorff")
-    return warping.on_pair(hausdorff_batch, None, a, b)
+    return warping.on_pair(hausdorff_batch, None, t1, t2)
 
 
 def discrete_frechet(t1, t2) -> float:
@@ -402,8 +401,7 @@ def _frechet_pair(p: np.ndarray, q: np.ndarray, upper: float) -> float:
 
 def frechet_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """frechet of each pair (ia[k], ib[k]) of sequences of ``store``."""
-    if (store.lengths(ia) < 2).any() or (store.lengths(ib) < 2).any():
-        raise ValueError("frechet: needs trajectories with at least 2 points")
+    store.require_carriers(ia, ib, "frechet: needs trajectories with at least 2 points")
     upper = warping.coupling_batch(store, ia, ib).tolist()
     return np.array([_frechet_pair(store[i], store[j], up)
                      for i, j, up in zip(ia.tolist(), ib.tolist(), upper)])
@@ -424,9 +422,7 @@ def frechet(t1, t2) -> float:
     the discrete Frechet distance: a pair runs about 3 decisions instead
     of about 40, and the result is bit for bit that of the search alone.
     """
-    a = _shape_points(t1, "frechet")
-    b = _shape_points(t2, "frechet")
-    return warping.on_pair(frechet_batch, None, a, b)
+    return warping.on_pair(frechet_batch, None, t1, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +441,7 @@ class OwdSamples:
     sample ``start[g]`` of its sequence and weighs a trapezoid sum by
     ``scale[g]``, its length over its width. ``total`` is each sequence's
     length; ``ok`` is False where it is zero or cannot be sampled.
+    ``samples_per_unit`` is the density they were built at.
     """
 
     points: PointStore
@@ -454,6 +451,7 @@ class OwdSamples:
     scale: np.ndarray
     total: np.ndarray
     ok: np.ndarray
+    samples_per_unit: float
 
 
 def owd_samples(store: PointStore, samples_per_unit: float) -> OwdSamples:
@@ -480,7 +478,7 @@ def owd_samples(store: PointStore, samples_per_unit: float) -> OwdSamples:
     first = np.searchsorted(owner, np.arange(len(n) + 1))
     offsets = np.concatenate([[0], ends])[first]
     return OwdSamples(PointStore(xy, offsets), first, ends - width - 1 - offsets[owner],
-                      width, length / width, total, ok)
+                      width, length / width, total, ok, samples_per_unit)
 
 
 def _integrals(samples: OwdSamples, flat: np.ndarray, walks: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -502,6 +500,18 @@ def _integrals(samples: OwdSamples, flat: np.ndarray, walks: np.ndarray, n: np.n
     return integral / samples.total[walks]
 
 
+def _check_samples(store: PointStore, samples: OwdSamples, ia: np.ndarray, ib: np.ndarray) -> None:
+    """Raise owd's reason for the first pair (ia[k], ib[k]) with a sequence
+    of fewer than 2 points, of zero length, or with too many samples."""
+    bad = np.flatnonzero(~(samples.ok[ia] & samples.ok[ib]))[:1]
+    if len(bad):
+        store.require_carriers(ia[bad], ib[bad], "owd: needs trajectories with at least 2 points")
+        for walk, which in ((ia[bad[0]], "first"), (ib[bad[0]], "second")):
+            if samples.total[walk] <= 0.0:
+                raise ValueError(f"owd: {which} trajectory has zero length")
+        raise ValueError(f"owd: too many samples at {samples.samples_per_unit!r} per unit length")
+
+
 def _owd_pair(t1, t2, samples_per_unit: float) -> tuple[PointStore, OwdSamples]:
     """The pair packed and sampled, with owd's checks on the pair (t1, t2)."""
     a = _shape_points(t1, "owd")
@@ -510,19 +520,14 @@ def _owd_pair(t1, t2, samples_per_unit: float) -> tuple[PointStore, OwdSamples]:
         raise ValueError(f"owd: samples_per_unit must be positive and finite, got {samples_per_unit!r}")
     store = PointStore.pack([a, b])
     samples = owd_samples(store, samples_per_unit)
-    for k, which in enumerate(("first", "second")):
-        if samples.total[k] <= 0.0:
-            raise ValueError(f"owd: {which} trajectory has zero length")
-    if not samples.ok.all():
-        raise ValueError(f"owd: too many samples at {samples_per_unit!r} per unit length")
+    _check_samples(store, samples, *_PAIR)
     return store, samples
 
 
 def sowd_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray, samples: OwdSamples) -> np.ndarray:
     """sowd of each pair (ia[k], ib[k]) of sequences of ``store``, from the
     samples :func:`owd_samples` built from it."""
-    if not (samples.ok[ia].all() and samples.ok[ib].all()):
-        raise ValueError("owd: a trajectory has zero length or too many samples")
+    _check_samples(store, samples, ia, ib)
     fwd, bwd = carrier_pairs(samples.points, store, ia, ib, partial(_integrals, samples))
     return 0.5 * (fwd + bwd)
 
@@ -545,8 +550,8 @@ def owd(t1, t2, samples_per_unit: float = 1.0) -> float:
         Sampling density along ``t1``, positive and finite.
     """
     store, samples = _owd_pair(t1, t2, samples_per_unit)
-    fwd, _ = carrier_pairs(samples.points, store, *_PAIR, partial(_integrals, samples), back=False)
-    return float(fwd[0])
+    near = carrier_distances(samples.points[0], store[1], (0, len(store[1])))
+    return float(_integrals(samples, near.ravel(), _PAIR[0], np.array([len(near)]))[0])
 
 
 def sowd(t1, t2, samples_per_unit: float = 1.0) -> float:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_points, carrier_pairs, window_sums
-from .warping import _PAIR, PointStore, on_pair
+from .geometry import as_points, carrier_distances, carrier_pairs, window_sums
+from .warping import PointStore, on_pair
 
 __all__ = ["spd", "sspd"]
 
@@ -25,6 +25,7 @@ def _means(flat: np.ndarray, walks: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def sspd_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """sspd of each pair (ia[k], ib[k]) of sequences of ``store``."""
+    store.require_carriers(ia, ib, "sspd: both trajectories need at least 2 points")
     fwd, bwd = carrier_pairs(store, store, ia, ib, _means)
     return 0.5 * (fwd + bwd)
 
@@ -52,8 +53,7 @@ def spd(t1, t2) -> float:
         raise ValueError("spd: first trajectory is empty")
     if b.shape[0] < 2:
         raise ValueError("spd: second trajectory needs at least 2 points")
-    store = PointStore.pack([a, b])
-    return float(carrier_pairs(store, store, *_PAIR, _means, back=False)[0][0])
+    return float(_means(carrier_distances(a, b, (0, len(b))).ravel(), None, np.array([len(a)]))[0])
 
 
 def sspd(t1, t2) -> float:
@@ -62,7 +62,4 @@ def sspd(t1, t2) -> float:
     Symmetric and non-negative by construction; zero iff the two carriers
     pass through each other's observed points.
     """
-    a, b = as_points(t1), as_points(t2)
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        raise ValueError("sspd: both trajectories need at least 2 points")
-    return on_pair(sspd_batch, None, a, b)
+    return on_pair(sspd_batch, None, t1, t2)

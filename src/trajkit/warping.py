@@ -48,6 +48,11 @@ class PointStore:
     def lengths(self, idx: np.ndarray) -> np.ndarray:
         return self.offsets[idx + 1] - self.offsets[idx]
 
+    def require_carriers(self, ia: np.ndarray, ib: np.ndarray, message: str) -> None:
+        """Raise ``ValueError(message)`` if a sequence of ``ia`` or ``ib`` has fewer than 2 points."""
+        if (self.lengths(ia) < 2).any() or (self.lengths(ib) < 2).any():
+            raise ValueError(message)
+
     def gather(self, idx: np.ndarray, size: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Points ``steps`` (a column) of sequences ``idx`` of lengths ``size``, shape
         (steps, idx, 2): the zero point past the end, the point at infinity before it."""

@@ -4,7 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
+import trajkit as tk
 from trajkit import Trajectory
+
+#: The public single-pair call of each matrix distance, with the parameters
+#: of ``DistanceSpec(name, eps_d=1.0)``.
+DIRECT = {
+    "dtw": tk.dtw,
+    "dlcss": lambda a, b: tk.dlcss(a, b, 1.0),
+    "edr": lambda a, b: float(tk.edr(a, b, 1.0)),
+    "erp": lambda a, b: tk.erp(a, b, (0.0, 0.0)),
+    "hausdorff": tk.hausdorff,
+    "frechet": tk.frechet,
+    "discrete_frechet": tk.discrete_frechet,
+    "sowd": lambda a, b: tk.sowd(a, b, 1.0),
+    "sspd": tk.sspd,
+}
 
 
 def smooth_walk(rng: np.random.Generator, n_points: int, *,

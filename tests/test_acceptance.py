@@ -11,15 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from trajkit import (BundleSpec, DistanceSpec, affinity_propagation,
+from trajkit import (BundleSpec, affinity_propagation,
                      compute_matrix, criteria, cut, discrete_frechet, dtw,
                      edr, erp, frechet, hausdorff, hca, lcss, load_matrix,
                      save_matrix, spd, sspd, synth)
 from trajkit.bench import run_bench, scaling_exponents
 from trajkit.geometry import segment_lengths
-from trajkit.matrix import DISTANCE_NAMES, pair_function
+from trajkit.matrix import DISTANCE_NAMES
 
-from conftest import smooth_walk, walk_pairs, walk_triples, walk_trajectory
+from conftest import DIRECT, smooth_walk, walk_pairs, walk_triples, walk_trajectory
 from oracles import (enum_discrete_frechet, enum_dtw, enum_erp, rec_edr,
                      rec_lcss)
 
@@ -73,8 +73,7 @@ def test_symmetry_census_and_triangle_inequality_status():
     violating it."""
     start = time.perf_counter()
 
-    functions = {name: pair_function(DistanceSpec(name, eps_d=1.0))
-                 for name in DISTANCE_NAMES}
+    functions = {name: DIRECT[name] for name in DISTANCE_NAMES}
     assert len(functions) == 9
     for a, b in walk_pairs(501, 500):
         for name, f in functions.items():

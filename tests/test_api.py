@@ -1,6 +1,7 @@
 """The public names of trajkit: additions and removals show up here as a diff."""
 
 import trajkit
+import trajkit.matrix
 
 PUBLIC = {
     "APResult", "BundleSpec", "ClusterAssignment", "CriteriaResult", "DISTANCE_NAMES",
@@ -22,3 +23,9 @@ def test_public_names_are_exactly_the_pinned_set():
 def test_every_public_name_resolves():
     for name in trajkit.__all__:
         assert getattr(trajkit, name) is not None
+
+
+def test_matrix_module_names_are_exactly_the_pinned_set():
+    assert sorted(trajkit.matrix.__all__) == [
+        "DISTANCE_NAMES", "DistanceMatrix", "DistanceSpec", "MatrixComputationError",
+        "MatrixFormatError", "compute_matrix", "load_matrix", "save_matrix", "save_matrix_csv"]

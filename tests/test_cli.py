@@ -164,6 +164,28 @@ class TestErrorPaths:
         assert main(cluster + ["--preference=-40.5"]) == 0
         assert "preference=-40.5," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("doc, reason", [
+        ({"bundles": [{"count": 3}]}, "bundle 0: missing 'anchor'"),
+        ([{"anchor": [[0, 0], [1, 0]], "count": 3}],
+         "spec JSON needs to be an object with a nonempty 'bundles' list"),
+        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": 2}, [1, 2]]},
+         "bundle 1: expected an object"),
+        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": [2]}]}, "bundle 0: int() argument"),
+        ({"bundles": [{"anchor": [[0, 0]], "count": 2}]}, "bundle 0: bundle anchor must be a polyline"),
+    ], ids=["no-anchor", "top-level-list", "bundle-not-object", "bad-count", "short-anchor"])
+    def test_malformed_synth_spec_is_a_clean_failure(self, tmp_path, capsys, doc, reason):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["synth", str(spec), "-o", str(tmp_path / "ds.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec}: {reason}")
+        assert not (tmp_path / "ds.csv").exists()
+
+    def test_synth_spec_that_is_not_json_is_a_clean_failure(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("{bundles", encoding="utf-8")
+        assert main(["synth", str(spec), "-o", str(tmp_path / "ds.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec}: invalid JSON: ")
+
     def test_missing_input_file_is_a_clean_failure(self, tmp_path, capsys):
         rc = main(["matrix", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.trjd"),
                    "--distance", "dtw"])

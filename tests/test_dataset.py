@@ -231,6 +231,22 @@ class TestSaveLoad:
         assert np.array_equal(back.trajectories[0].timestamps,
                               ds.trajectories[0].timestamps)
 
+    def test_ids_that_need_quoting_round_trip(self, tmp_path):
+        ids = ("a,b", 'say "hi"', "two\nlines", "plain")
+        ds = TrajectoryDataset(tuple(Trajectory(i, [(0.0, k), (1.0, k + 0.5)], [0.0, 1.5])
+                                     for k, i in enumerate(ids)))
+        save_dataset(ds, tmp_path / "ds.csv")
+        back = load_dataset(tmp_path / "ds.csv")
+        assert back.ids == ids
+        for a, b in zip(ds.trajectories, back.trajectories):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.timestamps, b.timestamps)
+
+    def test_load_rejects_mixed_timestamp_presence(self, tmp_path):
+        p = write(tmp_path, "mixed.csv", "traj_id,x,y,t\na,0,0,1\na,1,0,\nb,0,1,\nb,1,1,\n")
+        with pytest.raises(IngestError, match="'a': some rows have timestamps and some do not"):
+            load_dataset(p)
+
     def test_load_refuses_geographic(self, tmp_path):
         text = "traj_id,lat,lon\na,48.85,2.35\na,48.86,2.36\n"
         p = write(tmp_path, "geo.csv", text)

@@ -1,3 +1,4 @@
+import csv
 import multiprocessing.pool
 import os
 import struct
@@ -9,9 +10,10 @@ import pytest
 from trajkit import (DistanceMatrix, DistanceSpec, MatrixComputationError,
                      MatrixFormatError, Trajectory, compute_matrix,
                      load_matrix, save_matrix, save_matrix_csv, sspd)
-from trajkit.matrix import DISTANCE_NAMES, pair_function
+from trajkit import matrix
+from trajkit.matrix import DISTANCE_NAMES
 
-from conftest import walk_trajectory
+from conftest import DIRECT, walk_trajectory
 from oracles import (scalar_discrete_frechet, scalar_dlcss, scalar_dtw, scalar_edr,
                      scalar_erp)
 
@@ -89,13 +91,13 @@ class TestDistanceSpec:
         assert DistanceSpec("edr", eps_d=0.5).render() == "edr(eps_d=0.5)"
         assert DistanceSpec("dtw").render() == "dtw"
 
-    def test_every_listed_distance_builds_a_pair_function(self):
+    def test_every_listed_distance_has_a_direct_call(self):
+        assert set(DIRECT) == set(DISTANCE_NAMES)
+        a = Trajectory("a", [(0.0, 0.0), (1.0, 0.0)])
+        b = Trajectory("b", [(0.0, 1.0), (1.0, 1.0)])
         for name in DISTANCE_NAMES:
-            spec = DistanceSpec(name, eps_d=1.0)
-            f = pair_function(spec)
-            a = [(0.0, 0.0), (1.0, 0.0)]
-            b = [(0.0, 1.0), (1.0, 1.0)]
-            assert f(a, b) >= 0.0
+            m = compute_matrix([a, b], DistanceSpec(name, eps_d=1.0))
+            assert m.values[0, 1] == DIRECT[name](a, b) >= 0.0
 
 
 class TestDistanceMatrix:
@@ -120,12 +122,6 @@ class TestDistanceMatrix:
         assert not np.shares_memory(vals, m.values)
         vals[0, 1] = vals[1, 0] = 5.0
         assert m.values[0, 1] == 1.0
-
-    def test_index_lookup(self):
-        m = DistanceMatrix(("a", "b"), "dtw", np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert m.index_of("b") == 1
-        with pytest.raises(KeyError):
-            m.index_of("zzz")
 
 
 class TestComputeMatrix:
@@ -175,7 +171,7 @@ class TestComputeMatrix:
             for workers in (2, 4):
                 parallel = compute_matrix(fleet, spec, workers=workers)
                 assert parallel.values.tobytes() == serial.values.tobytes()
-            direct = pair_function(spec)
+            direct = DIRECT[name]
             for i, j in zip(*iu):
                 a, b = fleet[i].points, fleet[j].points
                 assert serial.values[i, j] == direct(fleet[i], fleet[j]) == loop(a, b)
@@ -189,25 +185,50 @@ class TestComputeMatrix:
             with pytest.raises(MatrixComputationError) as err:
                 compute_matrix([fleet[0], stuck, fleet[1]], "sowd", workers=workers)
             messages.add(str(err.value))
-        assert len(messages) == 1
-        message = messages.pop()
-        assert "failed on 2 pair(s)" in message
-        assert message.index("('t0', 'stuck')") < message.index("('stuck', 't1')")
+        assert messages == {"sowd(samples_per_unit=1.0) failed on 2 pair(s): "
+                            "('t0', 'stuck'): ValueError: owd: second trajectory has zero length; "
+                            "('stuck', 't1'): ValueError: owd: first trajectory has zero length"}
 
     def test_a_single_point_walk_fails_frechet_the_same_at_any_worker_count(self):
         # The batch kernel raises, and the per-pair fallback names each pair.
         fleet = small_fleet(n=4)
         dot = Trajectory(id="dot", points=[(1.0, 1.0), (2.0, 1.0)])
         object.__setattr__(dot, "points", np.array([(1.0, 1.0)]))  # Trajectory needs 2 points
-        messages = set()
-        for workers in (1, 2, 4):
-            with pytest.raises(MatrixComputationError) as err:
-                compute_matrix(fleet[:2] + [dot] + fleet[2:], "frechet", workers=workers)
-            messages.add(str(err.value))
-        reason = "ValueError: frechet: needs trajectories with at least 2 points"
-        assert messages == {"frechet failed on 4 pair(s): " + "; ".join(
-            f"({a!r}, {b!r}): {reason}" for a, b in [("t0", "dot"), ("t1", "dot"),
-                                                    ("dot", "t2"), ("dot", "t3")])}
+        reasons = {"frechet": "frechet: needs trajectories with at least 2 points",
+                   "hausdorff": "hausdorff: needs trajectories with at least 2 points",
+                   "sspd": "sspd: both trajectories need at least 2 points",
+                   "sowd": "owd: needs trajectories with at least 2 points"}
+        for name, reason in reasons.items():
+            messages = set()
+            for workers in (1, 2, 4):
+                with pytest.raises(MatrixComputationError) as err:
+                    compute_matrix(fleet[:2] + [dot] + fleet[2:], name, workers=workers)
+                messages.add(str(err.value))
+            assert messages == {f"{DistanceSpec(name).render()} failed on 4 pair(s): " + "; ".join(
+                f"({a!r}, {b!r}): ValueError: {reason}" for a, b in [("t0", "dot"), ("t1", "dot"),
+                                                                    ("dot", "t2"), ("dot", "t3")])}
+
+    def test_the_per_pair_fallback_gives_the_batch_kernels_bits(self, monkeypatch):
+        # Each batch kernel raises on any range of more than one pair, so
+        # every pair runs alone through the fallback: no entry may change.
+        rng = np.random.default_rng(239)
+        fleet = [walk_trajectory(rng, 2 + k % 13, f"f{k}") for k in range(10)]
+        for name in DISTANCE_NAMES:
+            spec = DistanceSpec(name, eps_d=1.0)
+            want = compute_matrix(fleet, spec).values.tobytes()
+            batch, fields = matrix._KERNELS[name]
+            sizes = []
+
+            def one_pair_only(store, ia, ib, *params, batch=batch, sizes=sizes):
+                sizes.append(len(ia))
+                if len(ia) > 1:
+                    raise RuntimeError("more than one pair")
+                return batch(store, ia, ib, *params)
+
+            monkeypatch.setitem(matrix._KERNELS, name, (one_pair_only, fields))
+            for workers in (1, 2, 4):
+                assert compute_matrix(fleet, spec, workers=workers).values.tobytes() == want, name
+            assert sizes == [45] + [1] * 45  # the serial run: one failed range, then its pairs
 
     def test_failure_report_is_capped(self):
         fleet = small_fleet(n=12)
@@ -296,6 +317,17 @@ class TestPersistence:
         save_matrix(m, tmp_path / "u.trjd")
         back = load_matrix(tmp_path / "u.trjd")
         assert back.ids == ("Ωmega", "trÆin")
+
+    def test_csv_quotes_ids_that_need_it(self, tmp_path):
+        ids = ("a,b", 'say "hi"', "two\nlines", "plain")
+        vals = np.array([[0.0, 1.5, 2.0, 0.1], [1.5, 0.0, 3.0, 0.2],
+                         [2.0, 3.0, 0.0, 0.3], [0.1, 0.2, 0.3, 0.0]])
+        save_matrix_csv(DistanceMatrix(ids, "dtw", vals), tmp_path / "m.csv")
+        with open(tmp_path / "m.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id", *ids]
+        assert [r[0] for r in rows[1:]] == list(ids)
+        assert np.array_equal(np.array([[float(c) for c in r[1:]] for r in rows[1:]]), vals)
 
     def test_csv_round_trips_values_bit_exactly(self, tmp_path):
         m = compute_matrix(small_fleet(), "dtw")
