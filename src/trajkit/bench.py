@@ -76,10 +76,9 @@ def random_walk_trajectories(n: int, points: int, seed: int) -> list[Trajectory]
 
 
 def _spec(name: str) -> DistanceSpec:
-    # Matching thresholds scale with the unit step length of the walks.
-    if name in ("dlcss", "lcss", "edr"):
-        return DistanceSpec(name, eps_d=1.0)
-    return DistanceSpec(name)
+    # Matching thresholds scale with the unit step length of the walks;
+    # distances without one ignore eps_d.
+    return DistanceSpec(name, eps_d=1.0)
 
 
 def _time_matrix(trajectories, spec: DistanceSpec, workers: int, repeats: int) -> float:

@@ -10,6 +10,7 @@ the single RNG seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -149,10 +150,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     ds, labels = synth(bundles, seed=args.seed)
     save_dataset(ds, args.output)
     if args.labels is not None:
-        with open(args.labels, "w", encoding="utf-8") as fh:
-            fh.write("traj_id,label\n")
-            for traj, label in zip(ds.trajectories, labels):
-                fh.write(f"{traj.id},{int(label)}\n")
+        with open(args.labels, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["traj_id", "label"])
+            out.writerows([traj.id, int(label)] for traj, label in zip(ds.trajectories, labels))
     print(f"synthesised {len(ds)} trajectories in {len(bundles)} bundles -> {args.output}")
     return 0
 
@@ -192,11 +193,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         if not result.converged:
             print("warning: affinity propagation did not converge; "
                   "assignment is a partial result", file=sys.stderr)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("traj_id,cluster,is_exemplar\n")
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["traj_id", "cluster", "is_exemplar"])
         for idx, item_id in enumerate(m.ids):
             c = int(assignment.labels[idx])
-            fh.write(f"{item_id},{c},{int(exemplars[c] == idx)}\n")
+            out.writerow([item_id, c, int(exemplars[c] == idx)])
     print(f"clustered {len(m)} items: {note} -> {args.output}")
     return 0
 
@@ -206,13 +208,13 @@ def _cmd_criteria(args: argparse.Namespace) -> int:
     if not 1 <= args.k_min <= args.k_max <= len(m):
         raise ValueError(f"criteria: need 1 <= k-min <= k-max <= {len(m)}")
     dend = hca(m, linkage=args.linkage)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("k,bc,wc,exemplar_ids\n")
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["k", "bc", "wc", "exemplar_ids"])
         for k in range(args.k_min, args.k_max + 1):
             assignment = cut(dend, k)
             crit = criteria(assignment, m)
-            names = "|".join(m.ids[e] for e in crit.exemplars)
-            fh.write(f"{k},{crit.bc!r},{crit.wc!r},{names}\n")
+            out.writerow([k, repr(crit.bc), repr(crit.wc), "|".join(m.ids[e] for e in crit.exemplars)])
     print(f"criteria for k in [{args.k_min}, {args.k_max}] ({args.linkage}) -> {args.output}")
     return 0
 

@@ -120,9 +120,7 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     n = vals.shape[0]
     if n < 1:
         raise ValueError("hca: empty matrix")
-    work = vals.astype(np.float64)
-    if linkage == "ward":
-        work = work ** 2
+    work = np.square(vals) if linkage == "ward" else vals.astype(np.float64)
     np.fill_diagonal(work, np.inf)
     sizes = np.ones(n)
     cluster_id = list(range(n))

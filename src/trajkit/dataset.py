@@ -110,8 +110,8 @@ def _read_rows(path: Path) -> tuple[bool, list[tuple[str, float, float, float | 
                 continue
             if len(row) != len(cols):
                 raise IngestError(f"line {line_no}: expected {len(cols)} fields, got {len(row)}")
-            tid = row[id_col].strip()
-            if not tid:
+            tid = row[id_col]
+            if not tid.strip():
                 raise IngestError(f"line {line_no}: empty trajectory id")
             try:
                 a = float(row[a_col])

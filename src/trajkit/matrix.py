@@ -36,20 +36,34 @@ __all__ = [
 _MAGIC = b"TRJD"
 _VERSION = 1
 
+#: Distance name -> (batch kernel over a PointStore, the DistanceSpec
+#: fields passed to it as parameters).
+_KERNELS = {
+    "dtw": (warping.dtw_batch, ()),
+    "dlcss": (warping.dlcss_batch, ("eps_d",)),
+    "edr": (warping.edr_batch, ("eps_d",)),
+    "erp": (warping.erp_batch, ("gap",)),
+    "hausdorff": (shape.hausdorff_batch, ()),
+    "frechet": (shape.frechet_batch, ()),
+    "discrete_frechet": (warping.coupling_batch, ()),
+    "sowd": (shape.sowd_batch, ("samples_per_unit",)),
+    "sspd": (sspd.sspd_batch, ()),
+}
+
 #: Distances that can back a matrix job. ``lcss`` is accepted as an alias
 #: of ``dlcss``: a matrix must hold dissimilarities with a zero diagonal,
 #: which the raw match count is not.
-DISTANCE_NAMES = (
-    "dtw",
-    "dlcss",
-    "edr",
-    "erp",
-    "hausdorff",
-    "frechet",
-    "discrete_frechet",
-    "sowd",
-    "sspd",
-)
+DISTANCE_NAMES = tuple(_KERNELS)
+
+#: DistanceSpec field -> its rule, ``rule(value, distance name)``, which
+#: gives the value to store or raises a ValueError; the single-pair calls
+#: check their parameters with the same rules.
+_RULES = {"eps_d": warping.check_eps_d, "gap": warping.check_gap,
+          "samples_per_unit": shape.check_density}
+
+#: Batch kernels whose parameters are built from the packed points, once per
+#: job and before the pool forks, so that every worker shares them.
+_BATCH_PARAMS = {"sowd": lambda store, density: (shape.owd_samples(store, density),)}
 
 
 class MatrixFormatError(ValueError):
@@ -86,56 +100,15 @@ class DistanceSpec:
         object.__setattr__(self, "name", name)
         if name not in DISTANCE_NAMES:
             raise ValueError(f"unknown distance {self.name!r}; expected one of {', '.join(DISTANCE_NAMES)}")
-        if name in ("dlcss", "edr"):
-            if self.eps_d is None:
-                raise ValueError(f"{name} requires eps_d (matching threshold)")
-            if not self.eps_d > 0:  # NaN fails it too
-                raise ValueError(f"{name}: eps_d must be positive, got {self.eps_d!r}")
-        if name == "erp":
-            gap = (0.0, 0.0) if self.gap is None else self.gap
-            gap = tuple(gap) if isinstance(gap, (tuple, list, np.ndarray)) else ()
-            try:  # a bool is not a number; float() overflows past float64's range
-                gap = tuple(float(g) if isinstance(g, (int, float, np.integer, np.floating))
-                            and not isinstance(g, bool) else np.nan for g in gap)
-            except OverflowError:
-                gap = ()
-            if len(gap) != 2 or not np.isfinite(gap).all():
-                raise ValueError(f"erp: gap must be two finite numbers, got {self.gap!r}")
-            object.__setattr__(self, "gap", gap)
-        if name == "sowd":
-            density = 1.0 if self.samples_per_unit is None else float(self.samples_per_unit)
-            if not 0 < density < np.inf:  # NaN fails it too
-                raise ValueError(f"sowd: samples_per_unit must be positive and finite, got {density!r}")
-            object.__setattr__(self, "samples_per_unit", density)
+        for field in _KERNELS[name][1]:
+            object.__setattr__(self, field, _RULES[field](getattr(self, field), name))
 
     def render(self) -> str:
         """Canonical kind string stored alongside a matrix."""
-        if self.name in ("dlcss", "edr"):
-            return f"{self.name}(eps_d={self.eps_d!r})"
-        if self.name == "erp":
-            return f"erp(gap=({self.gap[0]!r}, {self.gap[1]!r}))"
-        if self.name == "sowd":
-            return f"sowd(samples_per_unit={self.samples_per_unit!r})"
-        return self.name
-
-
-#: Distance name -> (batch kernel over a PointStore, the DistanceSpec
-#: fields passed to it as parameters).
-_KERNELS = {
-    "dtw": (warping.dtw_batch, ()),
-    "dlcss": (warping.dlcss_batch, ("eps_d",)),
-    "edr": (warping.edr_batch, ("eps_d",)),
-    "erp": (warping.erp_batch, ("gap",)),
-    "hausdorff": (shape.hausdorff_batch, ()),
-    "frechet": (shape.frechet_batch, ()),
-    "discrete_frechet": (warping.coupling_batch, ()),
-    "sowd": (shape.sowd_batch, ("samples_per_unit",)),
-    "sspd": (sspd.sspd_batch, ()),
-}
-
-#: Batch kernels whose parameters are built from the packed points, once per
-#: job and before the pool forks, so that every worker shares them.
-_BATCH_PARAMS = {"sowd": lambda store, density: (shape.owd_samples(store, density),)}
+        fields = _KERNELS[self.name][1]
+        if not fields:
+            return self.name
+        return f"{self.name}({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -135,58 +135,59 @@ class _FreeSpace:
         eps2 = (eps * (1.0 + 1e-12)) ** 2
         n, m = self.n, self.m
         qa, vb, vc, pa, hb, hc = self.coef
+        empty = (1.0, 0.0)  # lo > hi encodes "unreachable"
 
-        # Reachable intervals, indexed [j][i], on vertical boundaries (rv) and
-        # horizontal boundaries (rh); lo > hi encodes "unreachable".
-        rv = [[(1.0, 0.0)] * n for _ in range(m - 1)]
-        rh = [[(1.0, 0.0)] * (n - 1) for _ in range(m)]
-
-        # Left edge of the diagram: climb only while intervals stay joined.
-        for j in range(m - 1):
-            lo, hi = _interval(qa[j], vb[j][0], vc[j][0], eps2)
-            if lo > hi or lo > 0.0:
-                break
-            rv[j][0] = (0.0, hi)
-            if hi < 1.0:
-                break
-        for i in range(n - 1):
+        # Reachable intervals of one row j of cells at a time: on its bottom
+        # boundaries (row j of horizontal ones), its top boundaries (row
+        # j + 1) and its vertical boundaries, each indexed by i.
+        bot = [empty] * (n - 1)
+        for i in range(n - 1):  # bottom edge of the diagram: climb only while intervals stay joined
             lo, hi = _interval(pa[i], hb[0][i], hc[0][i], eps2)
             if lo > hi or lo > 0.0:
                 break
-            rh[0][i] = (0.0, hi)
+            bot[i] = (0.0, hi)
             if hi < 1.0:
                 break
-
+        side = [empty] * n
+        climbing = True  # up the left edge, likewise
         for j in range(m - 1):
             qa_j, vb_j, vc_j, hb_up, hc_up = qa[j], vb[j], vc[j], hb[j + 1], hc[j + 1]
-            rv_j, rh_j, rh_up = rv[j], rh[j], rh[j + 1]
+            side, top = [empty] * n, [empty] * (n - 1)
+            if climbing:
+                lo, hi = _interval(qa_j, vb_j[0], vc_j[0], eps2)
+                if lo > hi or lo > 0.0:
+                    climbing = False
+                else:
+                    side[0] = (0.0, hi)
+                    climbing = not hi < 1.0  # NaN climbs on, as the bottom edge does
             for i in range(n - 1):
-                left_lo, left_hi = rv_j[i]
-                bot_lo, bot_hi = rh_j[i]
+                left_lo, left_hi = side[i]
+                bot_lo, bot_hi = bot[i]
                 if left_lo > left_hi and bot_lo > bot_hi:
                     continue
                 # Right boundary: vertex i+1 of P against segment j of Q.
                 lo, hi = _interval(qa_j, vb_j[i + 1], vc_j[i + 1], eps2)
                 if lo <= hi:
                     if bot_lo <= bot_hi:
-                        rv_j[i + 1] = (lo, hi)
+                        side[i + 1] = (lo, hi)
                     else:
                         lo2 = max(lo, left_lo)
                         if lo2 <= hi:
-                            rv_j[i + 1] = (lo2, hi)
+                            side[i + 1] = (lo2, hi)
                 # Top boundary: vertex j+1 of Q against segment i of P.
                 lo, hi = _interval(pa[i], hb_up[i], hc_up[i], eps2)
                 if lo <= hi:
                     if left_lo <= left_hi:
-                        rh_up[i] = (lo, hi)
+                        top[i] = (lo, hi)
                     else:
                         lo2 = max(lo, bot_lo)
                         if lo2 <= hi:
-                            rh_up[i] = (lo2, hi)
+                            top[i] = (lo2, hi)
+            bot = top
 
-        if m >= 2 and rv[m - 2][n - 1][1] >= 1.0 and rv[m - 2][n - 1][0] <= 1.0:
+        if m >= 2 and side[n - 1][1] >= 1.0 and side[n - 1][0] <= 1.0:
             return True
-        if n >= 2 and rh[m - 1][n - 2][1] >= 1.0 and rh[m - 1][n - 2][0] <= 1.0:
+        if n >= 2 and bot[n - 2][1] >= 1.0 and bot[n - 2][0] <= 1.0:
             return True
         return False
 
@@ -233,16 +234,11 @@ class _FreeSpace:
 _TRIPLES = 1 << 16  # (vertex pair, segment) type-(c) values computed in one step
 
 
-@lru_cache(maxsize=64)
-def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
-
-
 def _equidistant(a2: np.ndarray, b: np.ndarray, c: np.ndarray, lo: float, hi: float) -> list:
     """Type-(c) values in [lo, hi] on segments with squared lengths ``a2``,
     against the vertices whose quadratics a2*t^2 + b[k]*t + c[k] the rows
     of b and c hold; in blocks of segments of about _TRIPLES values."""
-    k, l = _vertex_pairs(b.shape[0])
+    k, l = np.triu_indices(b.shape[0], 1)
     step = max(1, _TRIPLES // max(1, len(k)))
     out = []
     for s in range(0, len(a2), step):
@@ -454,6 +450,15 @@ class OwdSamples:
     samples_per_unit: float
 
 
+def check_density(samples_per_unit, name: str) -> float:
+    """The sampling density of distance ``name`` as a float, 1.0 when
+    ``samples_per_unit`` is None; a ValueError unless positive and finite."""
+    density = 1.0 if samples_per_unit is None else float(samples_per_unit)
+    if not 0 < density < math.inf:  # NaN fails it too
+        raise ValueError(f"{name}: samples_per_unit must be positive and finite, got {density!r}")
+    return density
+
+
 def owd_samples(store: PointStore, samples_per_unit: float) -> OwdSamples:
     """Sample every sequence of ``store`` as :func:`owd` does, at once."""
     n = store.lengths(np.arange(len(store.offsets) - 1))
@@ -516,10 +521,8 @@ def _owd_pair(t1, t2, samples_per_unit: float) -> tuple[PointStore, OwdSamples]:
     """The pair packed and sampled, with owd's checks on the pair (t1, t2)."""
     a = _shape_points(t1, "owd")
     b = _shape_points(t2, "owd")
-    if not 0 < samples_per_unit < math.inf:  # NaN fails it too
-        raise ValueError(f"owd: samples_per_unit must be positive and finite, got {samples_per_unit!r}")
     store = PointStore.pack([a, b])
-    samples = owd_samples(store, samples_per_unit)
+    samples = owd_samples(store, check_density(samples_per_unit, "owd"))
     _check_samples(store, samples, *_PAIR)
     return store, samples
 

@@ -176,6 +176,31 @@ def dlcss_batch(store: PointStore, ia, ib, eps_d: float) -> np.ndarray:
 _PAIR = (np.array([0]), np.array([1]))
 
 
+def check_eps_d(eps_d, name: str):
+    """``eps_d`` if it is a matching threshold for distance ``name``: positive,
+    infinity included (it matches every pair of points); else a ValueError."""
+    if eps_d is None:
+        raise ValueError(f"{name} requires eps_d (matching threshold)")
+    if not eps_d > 0:  # NaN fails it too
+        raise ValueError(f"{name}: eps_d must be positive, got {eps_d!r}")
+    return eps_d
+
+
+def check_gap(gap, name: str) -> tuple[float, float]:
+    """The gap point of distance ``name`` as two Python floats, the origin
+    when ``gap`` is None; a ValueError unless it is two finite numbers."""
+    point = (0.0, 0.0) if gap is None else gap
+    point = tuple(point) if isinstance(point, (tuple, list, np.ndarray)) else ()
+    try:  # a bool is not a number; float() overflows past float64's range
+        point = tuple(float(g) if isinstance(g, (int, float, np.integer, np.floating))
+                      and not isinstance(g, bool) else np.nan for g in point)
+    except OverflowError:
+        point = ()
+    if len(point) != 2 or not np.isfinite(point).all():
+        raise ValueError(f"{name}: gap must be two finite numbers, got {gap!r}")
+    return point
+
+
 def on_pair(batch, name: str | None, t1, t2, *params) -> float:
     """``batch`` run on the one pair (t1, t2); with a ``name``, empty input is rejected."""
     a, b = as_points(t1), as_points(t2)
@@ -214,9 +239,7 @@ def lcss(t1, t2, eps_d: float) -> int:
     int
         Number of matched pairs (a similarity, not a distance).
     """
-    if not eps_d > 0:  # NaN fails it too
-        raise ValueError(f"lcss: eps_d must be positive, got {eps_d!r}")
-    return int(on_pair(lcss_batch, None, t1, t2, eps_d))
+    return int(on_pair(lcss_batch, None, t1, t2, check_eps_d(eps_d, "lcss")))
 
 
 def dlcss(t1, t2, eps_d: float) -> float:
@@ -225,9 +248,7 @@ def dlcss(t1, t2, eps_d: float) -> float:
     Ranges over [0, 1]; 0 when the shorter sequence matches entirely.
     Empty inputs are rejected (the normaliser would vanish).
     """
-    if not eps_d > 0:  # NaN fails it too
-        raise ValueError(f"dlcss: eps_d must be positive, got {eps_d!r}")
-    return on_pair(dlcss_batch, "dlcss", t1, t2, eps_d)
+    return on_pair(dlcss_batch, "dlcss", t1, t2, check_eps_d(eps_d, "dlcss"))
 
 
 def edr(t1, t2, eps_d: float) -> int:
@@ -240,9 +261,7 @@ def edr(t1, t2, eps_d: float) -> int:
     -------
     int
     """
-    if not eps_d > 0:  # NaN fails it too
-        raise ValueError(f"edr: eps_d must be positive, got {eps_d!r}")
-    return int(on_pair(edr_batch, None, t1, t2, eps_d))
+    return int(on_pair(edr_batch, None, t1, t2, check_eps_d(eps_d, "edr")))
 
 
 def erp(t1, t2, gap_point) -> float:
@@ -251,12 +270,13 @@ def erp(t1, t2, gap_point) -> float:
     Aligning p1 with p2 costs ||p1 - p2||; leaving a point unmatched costs
     its distance to ``gap_point``. With a fixed gap point this is a true
     metric. An empty sequence is at distance sum(||p - gap_point||) over
-    the other.
+    the other. ``gap_point`` must be two finite numbers.
 
     Returns
     -------
     float
     """
+    gap_point = check_gap(gap_point, "erp")
     a, b = as_points(t1), as_points(t2)
     if a.shape[0] == 0 or b.shape[0] == 0:  # numpy's sum, not the table's running sum
         return float(_dist(np.concatenate([a, b]), np.asarray(gap_point, dtype=np.float64)).sum())

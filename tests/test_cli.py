@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from trajkit import criteria, cut, hca, load_dataset, load_matrix
+from trajkit import (Trajectory, TrajectoryDataset, criteria, cut, hca, load_dataset,
+                     load_matrix, save_dataset)
 from trajkit.clustering import ClusterAssignment
 from trajkit.cli import main
 
@@ -116,6 +117,27 @@ class TestPipeline:
         ds = load_dataset(out)
         assert ds.ids == ("v1", "v2")
         assert "dropped: 1" in capsys.readouterr().out
+
+    def test_ids_that_need_quoting_survive_cluster_and_criteria(self, tmp_path):
+        ids = ("a,b", 'say "hi"', "c|d")
+        ds = TrajectoryDataset(tuple(Trajectory(i, [(0.0, k), (1.0, k), (2.0, k + 0.5)])
+                                     for k, i in enumerate(ids)))
+        save_dataset(ds, tmp_path / "ds.csv")
+        matrix, clusters, crit = tmp_path / "m.trjd", tmp_path / "c.csv", tmp_path / "k.csv"
+        assert main(["matrix", str(tmp_path / "ds.csv"), "-o", str(matrix), "--distance", "sspd"]) == 0
+        assert main(["cluster", str(matrix), "-o", str(clusters), "--method", "hca", "--k", "2"]) == 0
+        assert main(["criteria", str(matrix), "-o", str(crit), "--k-max", "3"]) == 0
+        with open(clusters, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(r) == 3 for r in rows) and [r[0] for r in rows[1:]] == list(ids)
+        m = load_matrix(matrix)
+        dend = hca(m, linkage="ward")
+        with open(crit, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(r) == 4 for r in rows)
+        for row in rows[1:]:
+            exemplars = criteria(cut(dend, int(row[0])), m).exemplars
+            assert row[3] == "|".join(m.ids[e] for e in exemplars)
 
     def test_bench_command(self, pipeline):
         assert main(["bench", "-o", str(pipeline["bench"]), "--n", "8", "--points", "6",

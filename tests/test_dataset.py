@@ -242,6 +242,21 @@ class TestSaveLoad:
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.timestamps, b.timestamps)
 
+    def test_ids_that_differ_in_outer_whitespace_stay_apart(self, tmp_path):
+        ids = (" a", "a", "a\t")
+        ds = TrajectoryDataset(tuple(Trajectory(i, [(0.0, k), (1.0, k)]) for k, i in enumerate(ids)))
+        save_dataset(ds, tmp_path / "ds.csv")
+        back = load_dataset(tmp_path / "ds.csv")
+        assert back.ids == ids
+        for a, b in zip(ds.trajectories, back.trajectories):
+            assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("tid", ["", " ", "\t"])
+    def test_load_rejects_blank_ids(self, tmp_path, tid):
+        p = write(tmp_path, "blank.csv", f'traj_id,x,y\na,0,0\na,1,0\n"{tid}",0,1\n"{tid}",1,1\n')
+        with pytest.raises(IngestError, match="line 4: empty trajectory id"):
+            load_dataset(p)
+
     def test_load_rejects_mixed_timestamp_presence(self, tmp_path):
         p = write(tmp_path, "mixed.csv", "traj_id,x,y,t\na,0,0,1\na,1,0,\nb,0,1,\nb,1,1,\n")
         with pytest.raises(IngestError, match="'a': some rows have timestamps and some do not"):

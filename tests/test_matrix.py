@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from trajkit import (DistanceMatrix, DistanceSpec, MatrixComputationError,
-                     MatrixFormatError, Trajectory, compute_matrix,
-                     load_matrix, save_matrix, save_matrix_csv, sspd)
+                     MatrixFormatError, Trajectory, compute_matrix, dlcss, edr, erp, lcss,
+                     load_matrix, owd, save_matrix, save_matrix_csv, sowd, sspd)
 from trajkit import matrix
 from trajkit.matrix import DISTANCE_NAMES
 
@@ -23,7 +23,30 @@ def small_fleet(seed: int = 211, n: int = 6, points: int = 6):
     return [walk_trajectory(rng, points, f"t{k}") for k in range(n)]
 
 
+BAD_GAPS = [(1.0, 2.0, 3.0), (1.0,), (float("nan"), 0.0), (0.0, float("inf")), (-np.inf, 1.0),
+            5.0, "12", ((1.0, 2.0), (3.0, 4.0)), (1.0, "2"), (1.0, 1j), (True, 0.0),
+            (np.bool_(False), 1.0), (10**400, 0.0)]
+BAD_EPS = [None, 0.0, -1.0, np.nan, -np.inf]
+BAD_DENSITIES = [0.0, -1.0, np.nan, np.inf, -np.inf]
+
+#: (DistanceSpec name, field, single-pair call, the name its messages use, bad value)
+RULE_CASES = ([("dlcss", "eps_d", call, call.__name__, v) for call in (lcss, dlcss) for v in BAD_EPS]
+              + [("edr", "eps_d", edr, "edr", v) for v in BAD_EPS]
+              + [("erp", "gap", erp, "erp", v) for v in BAD_GAPS]
+              + [("sowd", "samples_per_unit", call, "owd", v) for call in (owd, sowd)
+                 for v in BAD_DENSITIES])
+
+
 class TestDistanceSpec:
+    @pytest.mark.parametrize("name, field, call, own, value", RULE_CASES)
+    def test_spec_and_single_pair_call_share_each_parameter_rule(self, name, field, call, own, value):
+        a, b = [(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (2.0, 1.0)]
+        with pytest.raises(ValueError) as spec_error:
+            DistanceSpec(name, **{field: value})
+        with pytest.raises(ValueError) as call_error:
+            call(a, b, value)
+        assert str(call_error.value) == str(spec_error.value).replace(name, own, 1)
+
     def test_unknown_name_lists_the_choices(self):
         with pytest.raises(ValueError, match="unknown distance.*dtw"):
             DistanceSpec("manhattan")
@@ -63,10 +86,7 @@ class TestDistanceSpec:
         assert spec.gap == (0.0, 0.0)
         assert spec.render() == "erp(gap=(0.0, 0.0))"
 
-    @pytest.mark.parametrize("gap", [(1.0, 2.0, 3.0), (1.0,), (float("nan"), 0.0),
-                                     (0.0, float("inf")), (-np.inf, 1.0), 5.0, "12",
-                                     ((1.0, 2.0), (3.0, 4.0)), (1.0, "2"), (1.0, 1j),
-                                     (True, 0.0), (np.bool_(False), 1.0), (10**400, 0.0)])
+    @pytest.mark.parametrize("gap", BAD_GAPS)
     def test_erp_gap_must_be_two_finite_numbers(self, gap):
         with pytest.raises(ValueError, match="erp: gap must be two finite numbers"):
             DistanceSpec("erp", gap=gap)

@@ -172,6 +172,20 @@ def test_carrier_kernels_hold_bounded_memory(kernel):
     assert peak < 32 * 2**20
 
 
+def test_decision_holds_two_rows_of_reachable_intervals():
+    # Tables of every boundary's interval would hold some 80,000 tuples, about 3.6 MiB.
+    rng = np.random.default_rng(171)
+    a, b = smooth_walk(rng, 200), smooth_walk(rng, 200)
+    space, eps = shape._FreeSpace(a, b), frechet(a, b)
+    tracemalloc.start()
+    try:
+        feasible = space.feasible(eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feasible and peak < 2**20
+
+
 def test_owd_equals_the_frozen_loop_on_long_dense_segments():
     # Some 74,000 samples against 11 segments: 13 blocks.
     rng = np.random.default_rng(157)
