@@ -10,7 +10,6 @@ the single RNG seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -20,9 +19,10 @@ import numpy as np
 
 from . import bench as bench_mod
 from .clustering import LINKAGES, affinity_propagation, criteria, cut, exemplar, hca
-from .dataset import BundleSpec, TrajectoryDataset, ingest, load_dataset, save_dataset, synth
-from .matrix import (DISTANCE_NAMES, DistanceSpec, compute_matrix, load_matrix,
-                     save_matrix, save_matrix_csv)
+from .dataset import (BundleSpec, TrajectoryDataset, ingest, load_dataset, save_dataset, synth,
+                      write_csv)
+from .matrix import (DISTANCE_NAMES, DistanceSpec, MatrixComputationError, compute_matrix,
+                     load_matrix, save_matrix, save_matrix_csv)
 
 __all__ = ["main"]
 
@@ -150,10 +150,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     ds, labels = synth(bundles, seed=args.seed)
     save_dataset(ds, args.output)
     if args.labels is not None:
-        with open(args.labels, "w", encoding="utf-8", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["traj_id", "label"])
-            out.writerows([traj.id, int(label)] for traj, label in zip(ds.trajectories, labels))
+        write_csv(args.labels, ["traj_id", "label"], zip(ds.ids, labels.tolist()))
     print(f"synthesised {len(ds)} trajectories in {len(bundles)} bundles -> {args.output}")
     return 0
 
@@ -193,12 +190,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         if not result.converged:
             print("warning: affinity propagation did not converge; "
                   "assignment is a partial result", file=sys.stderr)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["traj_id", "cluster", "is_exemplar"])
-        for idx, item_id in enumerate(m.ids):
-            c = int(assignment.labels[idx])
-            out.writerow([item_id, c, int(exemplars[c] == idx)])
+    rows = ([item_id, c, int(exemplars[c] == idx)]
+            for idx, (item_id, c) in enumerate(zip(m.ids, assignment.labels.tolist())))
+    write_csv(args.output, ["traj_id", "cluster", "is_exemplar"], rows)
     print(f"clustered {len(m)} items: {note} -> {args.output}")
     return 0
 
@@ -208,13 +202,10 @@ def _cmd_criteria(args: argparse.Namespace) -> int:
     if not 1 <= args.k_min <= args.k_max <= len(m):
         raise ValueError(f"criteria: need 1 <= k-min <= k-max <= {len(m)}")
     dend = hca(m, linkage=args.linkage)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["k", "bc", "wc", "exemplar_ids"])
-        for k in range(args.k_min, args.k_max + 1):
-            assignment = cut(dend, k)
-            crit = criteria(assignment, m)
-            out.writerow([k, repr(crit.bc), repr(crit.wc), "|".join(m.ids[e] for e in crit.exemplars)])
+    crits = {k: criteria(cut(dend, k), m) for k in range(args.k_min, args.k_max + 1)}
+    write_csv(args.output, ["k", "bc", "wc", "exemplar_ids"],
+              ([k, repr(c.bc), repr(c.wc), "|".join(m.ids[e] for e in c.exemplars)]
+               for k, c in crits.items()))
     print(f"criteria for k in [{args.k_min}, {args.k_max}] ({args.linkage}) -> {args.output}")
     return 0
 
@@ -251,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MatrixComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

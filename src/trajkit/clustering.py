@@ -300,7 +300,6 @@ def affinity_propagation(
             stable = 0
         last_ex = ex
 
-    ex = np.flatnonzero(avail.diagonal() + resp.diagonal() > 0.0)
     if ex.size == 0:
         # Fully degenerate message state (e.g. all-equal similarities):
         # fall back to the single strongest self-evidence, flagged as

@@ -383,6 +383,16 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
+def write_csv(path: str | Path, header: list, rows) -> None:
+    """Write a header row, then ``rows``, as UTF-8 CSV with ``"\\n"`` line
+    ends, quoting fields where the ``csv`` module needs it. Every CSV that
+    trajkit writes goes through here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
+
+
 def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     """Write the canonical ``traj_id,x,y,t`` CSV plus a metadata sidecar.
 
@@ -390,12 +400,11 @@ def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     bit-exactly.
     """
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["traj_id", "x", "y", "t"])
-        for traj in dataset.trajectories:
-            ts = [""] * len(traj) if traj.timestamps is None else map(repr, traj.timestamps.tolist())
-            out.writerows([traj.id, repr(x), repr(y), t] for (x, y), t in zip(traj.points.tolist(), ts))
+    times = ([""] * len(traj) if traj.timestamps is None else map(repr, traj.timestamps.tolist())
+             for traj in dataset.trajectories)
+    write_csv(path, ["traj_id", "x", "y", "t"],
+              ([traj.id, repr(x), repr(y), t] for traj, ts in zip(dataset.trajectories, times)
+               for (x, y), t in zip(traj.points.tolist(), ts)))
     meta = {"crs": dataset.crs, "provenance": dataset.provenance}
     _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 

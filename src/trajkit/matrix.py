@@ -8,7 +8,6 @@ CSV export mirrors the full symmetric matrix for interoperability.
 
 from __future__ import annotations
 
-import csv
 import functools
 import multiprocessing
 import struct
@@ -19,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import shape, sspd, warping
+from .dataset import write_csv
 from .geometry import Trajectory
 
 __all__ = [
@@ -57,7 +57,8 @@ DISTANCE_NAMES = tuple(_KERNELS)
 
 #: DistanceSpec field -> its rule, ``rule(value, distance name)``, which
 #: gives the value to store or raises a ValueError; the single-pair calls
-#: check their parameters with the same rules.
+#: check their parameters with the same rules. A field that the distance
+#: does not take is stored as None, so equal specs compare and hash equal.
 _RULES = {"eps_d": warping.check_eps_d, "gap": warping.check_gap,
           "samples_per_unit": shape.check_density}
 
@@ -100,8 +101,9 @@ class DistanceSpec:
         object.__setattr__(self, "name", name)
         if name not in DISTANCE_NAMES:
             raise ValueError(f"unknown distance {self.name!r}; expected one of {', '.join(DISTANCE_NAMES)}")
-        for field in _KERNELS[name][1]:
-            object.__setattr__(self, field, _RULES[field](getattr(self, field), name))
+        taken = _KERNELS[name][1]
+        for field, rule in _RULES.items():
+            object.__setattr__(self, field, rule(getattr(self, field), name) if field in taken else None)
 
     def render(self) -> str:
         """Canonical kind string stored alongside a matrix."""
@@ -223,17 +225,6 @@ def _drain(results) -> None:
             pass
 
 
-def _triangle(values: np.ndarray) -> np.ndarray:
-    """The row-major strict upper triangle of a square matrix, as little-endian float64."""
-    n = values.shape[0]
-    flat = np.empty(n * (n - 1) // 2, dtype="<f8")
-    start = 0
-    for i in range(n - 1):
-        flat[start:start + n - 1 - i] = values[i, i + 1:]
-        start += n - 1 - i
-    return flat
-
-
 def _square(flat: np.ndarray, n: int) -> np.ndarray:
     """The symmetric n x n matrix, zero on the diagonal, whose row-major
     strict upper triangle is ``flat``."""
@@ -328,17 +319,16 @@ def compute_matrix(
 
 
 def save_matrix(m: DistanceMatrix, path: str | Path) -> None:
-    """Write a matrix in the binary layout described in the module docstring."""
+    """Write a matrix in the binary layout described in the module docstring,
+    one row of the upper triangle at a time."""
     n = len(m)
-    blob = bytearray()
-    blob += struct.pack("<4sII", _MAGIC, _VERSION, n)
-    for item_id in m.ids:
-        raw = item_id.encode("utf-8")
-        blob += struct.pack("<I", len(raw)) + raw
-    raw = m.kind.encode("utf-8")
-    blob += struct.pack("<I", len(raw)) + raw
-    blob += _triangle(m.values).tobytes()
-    Path(path).write_bytes(blob)
+    strings = [text.encode("utf-8") for text in (*m.ids, m.kind)]  # fail before the file opens
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sII", _MAGIC, _VERSION, n))
+        for raw in strings:
+            fh.write(struct.pack("<I", len(raw)) + raw)
+        for i in range(n - 1):
+            fh.write(np.ascontiguousarray(m.values[i, i + 1:], dtype="<f8").data)
 
 
 def _take(blob: bytes | memoryview, offset: int, count: int, what: str) -> tuple:
@@ -356,16 +346,17 @@ def load_matrix(path: str | Path) -> DistanceMatrix:
         raise MatrixFormatError(f"bad magic {magic!r}: not a trajkit matrix file")
     if version != _VERSION:
         raise MatrixFormatError(f"unsupported matrix format version {version}")
-    ids = []
-    for k in range(n):
-        raw, offset = _take(blob, offset, 4, f"id table entry {k}")
+    strings = []
+    for k in range(n + 1):
+        what = f"id table entry {k}" if k < n else "kind string"
+        raw, offset = _take(blob, offset, 4, what)
         (ln,) = struct.unpack("<I", raw)
-        raw, offset = _take(blob, offset, ln, f"id table entry {k}")
-        ids.append(raw.decode("utf-8"))
-    raw, offset = _take(blob, offset, 4, "kind string")
-    (ln,) = struct.unpack("<I", raw)
-    raw, offset = _take(blob, offset, ln, "kind string")
-    kind = raw.decode("utf-8")
+        raw, offset = _take(blob, offset, ln, what)
+        try:
+            strings.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"{what} is not valid UTF-8: {exc}") from None
+    *ids, kind = strings
     npairs = n * (n - 1) // 2
     raw, offset = _take(memoryview(blob), offset, 8 * npairs, "value payload")  # no copy
     if offset != len(blob):
@@ -380,8 +371,5 @@ def save_matrix_csv(m: DistanceMatrix, path: str | Path) -> None:
     one row per item, quoted where the ``csv`` module needs it. Floats are
     rendered with ``repr`` so that re-parsing reproduces the stored values
     bit-exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["id", *m.ids])
-        for item_id, row in zip(m.ids, m.values):
-            out.writerow([item_id, *map(repr, row.tolist())])
+    write_csv(path, ["id", *m.ids],
+              ([item_id, *map(repr, row.tolist())] for item_id, row in zip(m.ids, m.values)))

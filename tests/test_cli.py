@@ -214,6 +214,19 @@ class TestErrorPaths:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_matrix_job_is_a_clean_failure(self, tmp_path, capsys):
+        # sowd samples a walk by arc length; one of length zero has no samples.
+        stuck = Trajectory("stuck", [(1.0, 1.0), (1.0, 1.0)])
+        save_dataset(TrajectoryDataset((stuck, Trajectory("ok", [(0.0, 0.0), (3.0, 0.0)]))),
+                     tmp_path / "ds.csv")
+        rc = main(["matrix", str(tmp_path / "ds.csv"), "-o", str(tmp_path / "m.trjd"),
+                   "--distance", "sowd"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sowd(samples_per_unit=1.0) failed on 1 pair(s): ('stuck', 'ok')")
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.trjd").exists()
+
     def test_corrupt_matrix_file_is_a_clean_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.trjd"
         bad.write_bytes(b"garbage-not-a-matrix")

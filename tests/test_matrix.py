@@ -111,6 +111,19 @@ class TestDistanceSpec:
         assert DistanceSpec("edr", eps_d=0.5).render() == "edr(eps_d=0.5)"
         assert DistanceSpec("dtw").render() == "dtw"
 
+    @pytest.mark.parametrize("name", DISTANCE_NAMES)
+    def test_fields_the_distance_does_not_take_are_none(self, name):
+        given = {"eps_d": 1.0, "gap": (1.0, 2.0), "samples_per_unit": 2.0}
+        taken = matrix._KERNELS[name][1]
+        spec = DistanceSpec(name, **given)
+        own = DistanceSpec(name, **{f: given[f] for f in taken})
+        assert spec == own and hash(spec) == hash(own) and spec.render() == own.render()
+        assert {f: getattr(spec, f) for f in given} == {f: given[f] if f in taken else None
+                                                        for f in given}
+
+    def test_an_unused_field_is_dropped_whatever_its_value(self):
+        assert DistanceSpec("sspd", gap="x").gap is None
+
     def test_every_listed_distance_has_a_direct_call(self):
         assert set(DIRECT) == set(DISTANCE_NAMES)
         a = Trajectory("a", [(0.0, 0.0), (1.0, 0.0)])
@@ -307,13 +320,7 @@ class TestPersistence:
     def test_load_holds_at_most_1_6_times_the_matrix(self, tmp_path):
         # The file's bytes (half the matrix) and the square it fills are the
         # peak; the matrix keeps that square instead of copying it.
-        n = 1000
-        x = np.random.default_rng(233).random((n, 3))
-        vals = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
-        np.fill_diagonal(vals, 0.0)
-        vals = np.triu(vals, 1) + np.triu(vals, 1).T
-        save_matrix(DistanceMatrix(tuple(f"p{i}" for i in range(n)), "euclidean", vals), tmp_path / "m.trjd")
-        del x, vals
+        save_matrix(euclidean_matrix(1000), tmp_path / "m.trjd")
         tracemalloc.start()
         try:
             back = load_matrix(tmp_path / "m.trjd")
@@ -322,14 +329,28 @@ class TestPersistence:
             tracemalloc.stop()
         assert peak <= 1.6 * back.values.nbytes
 
+    def test_save_holds_no_copy_of_the_payload(self, tmp_path):
+        # Each row of the triangle goes to the file from the matrix's own
+        # buffer; the payload at n = 1000 is 3.8 MiB.
+        m = euclidean_matrix(1000)
+        tracemalloc.start()
+        try:
+            save_matrix(m, tmp_path / "m.trjd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_file_is_header_ids_kind_then_upper_triangle(self, tmp_path):
         m = compute_matrix(small_fleet(n=7), "dtw")
-        save_matrix(m, tmp_path / "m.trjd")
         want = struct.pack("<4sII", b"TRJD", 1, 7)
         for item_id in (*m.ids, m.kind):
             want += struct.pack("<I", len(item_id)) + item_id.encode("utf-8")
         want += m.values[np.triu_indices(7, 1)].astype("<f8").tobytes()
-        assert (tmp_path / "m.trjd").read_bytes() == want
+        # A matrix built from a Fortran-ordered array keeps that order.
+        for order in ("C", "F"):
+            save_matrix(DistanceMatrix(m.ids, m.kind, np.asarray(m.values, order=order)), tmp_path / "m.trjd")
+            assert (tmp_path / "m.trjd").read_bytes() == want
 
     def test_unicode_ids_survive(self, tmp_path):
         vals = np.array([[0.0, 2.5], [2.5, 0.0]])
@@ -396,12 +417,41 @@ class TestPersistence:
         with pytest.raises(MatrixFormatError, match="value payload"):
             load_matrix(path)
 
+    def test_truncated_kind_string_is_reported(self, tmp_path):
+        path = tmp_path / "m.trjd"
+        save_matrix(compute_matrix(small_fleet(n=1), "dtw"), path)  # no pairs: the kind ends the file
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(MatrixFormatError, match="ran out of bytes reading kind string"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("ids, kind, reason", [
+        ((b"a", b"\xff\xfe"), b"dtw", "id table entry 1 is not valid UTF-8"),
+        ((b"a", b"b"), b"dtw\xc3", "kind string is not valid UTF-8"),
+    ], ids=["id", "kind"])
+    def test_string_that_is_not_utf8_is_reported(self, tmp_path, ids, kind, reason):
+        blob = struct.pack("<4sII", b"TRJD", 1, 2)
+        for raw in (*ids, kind):
+            blob += struct.pack("<I", len(raw)) + raw
+        path = tmp_path / "m.trjd"
+        path.write_bytes(blob + struct.pack("<d", 1.5))
+        with pytest.raises(MatrixFormatError, match=reason):
+            load_matrix(path)
+
     def test_trailing_bytes_are_reported(self, tmp_path):
         path = tmp_path / "m.trjd"
         save_matrix(compute_matrix(small_fleet(n=3), "dtw"), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(MatrixFormatError, match="trailing"):
             load_matrix(path)
+
+
+def euclidean_matrix(n: int) -> DistanceMatrix:
+    """The distances between n seeded random points in 3-D."""
+    x = np.random.default_rng(233).random((n, 3))
+    vals = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(vals, 0.0)
+    vals = np.triu(vals, 1) + np.triu(vals, 1).T
+    return DistanceMatrix(tuple(f"p{i}" for i in range(n)), "euclidean", vals)
 
 
 def usable_cores() -> int:
