@@ -107,7 +107,7 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
 
     Parameters
     ----------
-    m : DistanceMatrix or square ndarray
+    m : DistanceMatrix or square ndarray, finite and symmetric
     linkage : {"single", "average", "weighted", "ward"}
 
     Returns
@@ -117,6 +117,8 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}; expected one of {', '.join(LINKAGES)}")
     vals = _values(m)
+    if not isinstance(m, DistanceMatrix) and not (np.isfinite(vals).all() and (vals == vals.T).all()):
+        raise ValueError("hca: expected a finite symmetric matrix")
     n = vals.shape[0]
     if n < 1:
         raise ValueError("hca: empty matrix")
@@ -125,18 +127,15 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     sizes = np.ones(n)
     cluster_id = list(range(n))
     # nn[r] is the lowest column holding row r's minimum and nd[r] that
-    # minimum, so argmin(nd) and then nn pick the pair that a row-major
-    # argmin over the whole matrix would. A retired row or column holds inf,
-    # and a retired row has nn = -1, which no update or rescan matches.
+    # minimum, so argmin(nd) and then nn pick the pair i < j that a row-major
+    # argmin over the symmetric matrix would. A retired row or column holds
+    # inf, and a retired row has nn = -1, which no update or rescan matches.
     nn = work.argmin(axis=1)
     nd = work.min(axis=1)
     steps: list[MergeStep] = []
     for step in range(n - 1):
         i = int(nd.argmin())
         j = int(nn[i])
-        if i > j:  # only a non-symmetric ndarray puts the pair below the diagonal
-            i, j = j, i
-            nn[i] = j  # row i is rewritten below, so it must be rescanned
         d_ij = work[i, j]
         height = math.sqrt(max(d_ij, 0.0)) if linkage == "ward" else float(d_ij)
         si, sj = sizes[i], sizes[j]
@@ -250,6 +249,8 @@ def affinity_propagation(
         pref = float(s.min()) if n > 1 else 0.0
     else:
         pref = float(preference)
+        if not math.isfinite(pref):
+            raise ValueError(f"affinity_propagation: preference must be finite, got {pref!r}")
     np.fill_diagonal(s, pref)
 
     if n == 1:

@@ -70,26 +70,23 @@ def discrete_frechet(t1, t2) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interval(a2: float, b: float, c0: float, eps2: float) -> tuple[float, float]:
-    """Clamped parameter interval where a segment meets a disc.
+def _intervals(a2, b, c0, eps2: float) -> tuple[list, list]:
+    """Clamped parameter intervals where segments meet discs, elementwise.
 
-    The squared distance from segment point X(t) = A + t(B-A) to the disc
-    centre is a2*t^2 + b*t + c0; the interval solves <= eps2 within [0, 1].
-    Returns (lo, hi) with lo > hi when empty.
+    The squared distance from segment point X(t) = A + t(B-A) to a disc
+    centre is a2*t^2 + b*t + c0; each interval solves <= eps2 within
+    [0, 1]. Returns the lows and the highs as lists, lo > hi where empty.
     """
-    if a2 <= 0.0:  # degenerate segment: a single point
-        return (0.0, 1.0) if c0 <= eps2 else (1.0, 0.0)
-    disc = b * b - 4.0 * a2 * (c0 - eps2)
-    if disc < 0.0:
-        return (1.0, 0.0)
-    root = math.sqrt(disc)
-    lo = (-b - root) / (2.0 * a2)
-    hi = (-b + root) / (2.0 * a2)
-    if lo < 0.0:
-        lo = 0.0
-    if hi > 1.0:
-        hi = 1.0
-    return (lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - 4.0 * a2 * (c0 - eps2)
+        root = np.sqrt(disc)
+        lo = np.maximum((-b - root) / (2.0 * a2), 0.0)
+        hi = np.minimum((-b + root) / (2.0 * a2), 1.0)
+    point = a2 <= 0.0  # degenerate segment: a single point
+    empty = np.where(point, ~(c0 <= eps2), disc < 0.0)
+    lo = np.where(empty, 1.0, np.where(point, 0.0, lo))
+    hi = np.where(empty, 0.0, np.where(point, 1.0, hi))
+    return lo.tolist(), hi.tolist()
 
 
 class _FreeSpace:
@@ -97,8 +94,8 @@ class _FreeSpace:
 
     Vertical boundaries pair vertex i of P with segment j of Q; horizontal
     boundaries pair vertex j of Q with segment i of P. Coefficients are
-    computed once so that the feasibility decision can be replayed for many
-    probe radii during the search.
+    computed once, and held only as numpy arrays, so that the feasibility
+    decision can be replayed for many probe radii during the search.
     """
 
     def __init__(self, p: np.ndarray, q: np.ndarray) -> None:
@@ -116,9 +113,6 @@ class _FreeSpace:
         self.hc = np.einsum("jic,jic->ji", wh, wh)
         self.d_start = math.dist(p[0], q[0])
         self.d_end = math.dist(p[-1], q[-1])
-        # The decision reads Python floats (numpy's bits, no per-cell indexing); vb, vc as [j][i].
-        self.coef = (self.qa.tolist(), self.vb.T.tolist(), self.vc.T.tolist(),
-                     self.pa.tolist(), self.hb.tolist(), self.hc.tolist())
 
     def feasible(self, eps: float) -> bool:
         """Monotone-path decision at radius ``eps``.
@@ -134,56 +128,59 @@ class _FreeSpace:
             return False
         eps2 = (eps * (1.0 + 1e-12)) ** 2
         n, m = self.n, self.m
-        qa, vb, vc, pa, hb, hc = self.coef
         empty = (1.0, 0.0)  # lo > hi encodes "unreachable"
 
         # Reachable intervals of one row j of cells at a time: on its bottom
         # boundaries (row j of horizontal ones), its top boundaries (row
-        # j + 1) and its vertical boundaries, each indexed by i.
+        # j + 1) and its vertical boundaries, each indexed by i. numpy gives
+        # the boundaries' own intervals for a band of rows at a time.
         bot = [empty] * (n - 1)
-        for i in range(n - 1):  # bottom edge of the diagram: climb only while intervals stay joined
-            lo, hi = _interval(pa[i], hb[0][i], hc[0][i], eps2)
-            if lo > hi or lo > 0.0:
+        for i, (lo, hi) in enumerate(zip(*_intervals(self.pa, self.hb[0], self.hc[0], eps2))):
+            if lo > hi or lo > 0.0:  # bottom edge: climb only while intervals stay joined
                 break
             bot[i] = (0.0, hi)
             if hi < 1.0:
                 break
         side = [empty] * n
         climbing = True  # up the left edge, likewise
-        for j in range(m - 1):
-            qa_j, vb_j, vc_j, hb_up, hc_up = qa[j], vb[j], vc[j], hb[j + 1], hc[j + 1]
-            side, top = [empty] * n, [empty] * (n - 1)
-            if climbing:
-                lo, hi = _interval(qa_j, vb_j[0], vc_j[0], eps2)
-                if lo > hi or lo > 0.0:
-                    climbing = False
-                else:
-                    side[0] = (0.0, hi)
-                    climbing = not hi < 1.0  # NaN climbs on, as the bottom edge does
-            for i in range(n - 1):
-                left_lo, left_hi = side[i]
-                bot_lo, bot_hi = bot[i]
-                if left_lo > left_hi and bot_lo > bot_hi:
-                    continue
-                # Right boundary: vertex i+1 of P against segment j of Q.
-                lo, hi = _interval(qa_j, vb_j[i + 1], vc_j[i + 1], eps2)
-                if lo <= hi:
-                    if bot_lo <= bot_hi:
-                        side[i + 1] = (lo, hi)
+        band = max(1, _BAND // n)  # rows of cells
+        for j0 in range(0, m - 1, band):
+            j1 = j0 + band
+            right = _intervals(self.qa[j0:j1, None], self.vb[:, j0:j1].T, self.vc[:, j0:j1].T, eps2)
+            up = _intervals(self.pa, self.hb[j0 + 1:j1 + 1], self.hc[j0 + 1:j1 + 1], eps2)
+            for v_lo, v_hi, h_lo, h_hi in zip(*right, *up):
+                side, top = [empty] * n, [empty] * (n - 1)
+                if climbing:
+                    lo, hi = v_lo[0], v_hi[0]
+                    if lo > hi or lo > 0.0:
+                        climbing = False
                     else:
-                        lo2 = max(lo, left_lo)
-                        if lo2 <= hi:
-                            side[i + 1] = (lo2, hi)
-                # Top boundary: vertex j+1 of Q against segment i of P.
-                lo, hi = _interval(pa[i], hb_up[i], hc_up[i], eps2)
-                if lo <= hi:
-                    if left_lo <= left_hi:
-                        top[i] = (lo, hi)
-                    else:
-                        lo2 = max(lo, bot_lo)
-                        if lo2 <= hi:
-                            top[i] = (lo2, hi)
-            bot = top
+                        side[0] = (0.0, hi)
+                        climbing = not hi < 1.0  # NaN climbs on, as the bottom edge does
+                for i in range(n - 1):
+                    left_lo, left_hi = side[i]
+                    bot_lo, bot_hi = bot[i]
+                    if left_lo > left_hi and bot_lo > bot_hi:
+                        continue
+                    # Right boundary: vertex i+1 of P against segment j of Q.
+                    lo, hi = v_lo[i + 1], v_hi[i + 1]
+                    if lo <= hi:
+                        if bot_lo <= bot_hi:
+                            side[i + 1] = (lo, hi)
+                        else:
+                            lo2 = max(lo, left_lo)
+                            if lo2 <= hi:
+                                side[i + 1] = (lo2, hi)
+                    # Top boundary: vertex j+1 of Q against segment i of P.
+                    lo, hi = h_lo[i], h_hi[i]
+                    if lo <= hi:
+                        if left_lo <= left_hi:
+                            top[i] = (lo, hi)
+                        else:
+                            lo2 = max(lo, bot_lo)
+                            if lo2 <= hi:
+                                top[i] = (lo2, hi)
+                bot = top
 
         if m >= 2 and side[n - 1][1] >= 1.0 and side[n - 1][0] <= 1.0:
             return True
@@ -232,6 +229,7 @@ class _FreeSpace:
 
 
 _TRIPLES = 1 << 16  # (vertex pair, segment) type-(c) values computed in one step
+_BAND = 1 << 10  # cells whose boundary intervals a decision computes in one step
 
 
 def _equidistant(a2: np.ndarray, b: np.ndarray, c: np.ndarray, lo: float, hi: float) -> list:
@@ -265,13 +263,13 @@ class _Memo:
 
     This returns the decision's own bits because the decision is monotone
     in ``eps`` under IEEE rounding. The sign and endpoint tests are plain
-    comparisons with ``eps``. ``eps2``, ``disc`` and ``root`` grow with
-    ``eps`` (each is a correctly rounded, monotone operation on it), so
-    every interval's ``lo`` only falls and its ``hi`` only rises, and the
-    emptiness tests and the clamps to [0, 1] are monotone. Reachable
-    intervals, built from those with ``max`` and the same tests, therefore
-    only grow, and so does the final test at the far corner. So every
-    radius the memo answers would have been answered the same by a call.
+    comparisons with ``eps``. Elementwise, ``eps2``, ``disc`` and ``root``
+    grow with ``eps`` (each a correctly rounded, monotone numpy operation
+    on it), so every interval's ``lo`` only falls and its ``hi`` only
+    rises, and the emptiness tests and the clamps to [0, 1] are monotone.
+    Reachable intervals, built from those with ``max`` and the same tests,
+    therefore only grow, and so does the final test at the far corner. So
+    every radius the memo answers would have been answered the same by a call.
     """
 
     def __init__(self, space: _FreeSpace) -> None:

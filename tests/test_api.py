@@ -1,5 +1,10 @@
 """The public names of trajkit: additions and removals show up here as a diff."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import trajkit
 import trajkit.matrix
 
@@ -29,3 +34,12 @@ def test_matrix_module_names_are_exactly_the_pinned_set():
     assert sorted(trajkit.matrix.__all__) == [
         "DISTANCE_NAMES", "DistanceMatrix", "DistanceSpec", "MatrixComputationError",
         "MatrixFormatError", "compute_matrix", "load_matrix", "save_matrix", "save_matrix_csv"]
+
+
+def test_the_library_never_loads_scipy():
+    # numpy is the only runtime dependency; SciPy is for the tests alone.
+    code = "import sys, trajkit, trajkit.cli, trajkit.bench; print('scipy' in sys.modules)"
+    src = Path(trajkit.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

@@ -186,6 +186,19 @@ class TestErrorPaths:
         assert main(cluster + ["--preference=-40.5"]) == 0
         assert "preference=-40.5," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_ap_preference_is_a_clean_failure(self, pipeline, capsys, value):
+        main(["synth", str(pipeline["spec"]), "-o", str(pipeline["dataset"]), "--seed", "1"])
+        main(["matrix", str(pipeline["dataset"]), "-o", str(pipeline["matrix"]),
+              "--distance", "sspd"])
+        capsys.readouterr()
+        rc = main(["cluster", str(pipeline["matrix"]), "-o", str(pipeline["clusters"]),
+                   "--method", "ap", f"--preference={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: affinity_propagation: preference must be finite")
+        assert not pipeline["clusters"].exists()
+
     @pytest.mark.parametrize("doc, reason", [
         ({"bundles": [{"count": 3}]}, "bundle 0: missing 'anchor'"),
         ([{"anchor": [[0, 0], [1, 0]], "count": 3}],

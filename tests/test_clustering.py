@@ -142,6 +142,14 @@ class TestHca:
             mapped = {frozenset(int(perm[i]) for i in grp) for grp in permuted}
             assert mapped == base
 
+    def test_ndarray_that_is_not_finite_and_symmetric_is_rejected(self):
+        # A DistanceMatrix is validated when it is built; a bare array is checked here.
+        for d in (np.array([[0.0, np.nan], [np.nan, 0.0]]), np.array([[0.0, 1.0], [2.0, 0.0]]),
+                  np.array([[0.0, np.inf], [np.inf, 0.0]])):
+            for method in LINKAGES:
+                with pytest.raises(ValueError, match="finite symmetric"):
+                    hca(d, linkage=method)
+
 
 class TestCut:
     def test_k_equals_one(self):
@@ -215,6 +223,12 @@ class TestAffinityPropagation:
             affinity_propagation(d, damping=0.0)
         with pytest.raises(ValueError, match="damping"):
             affinity_propagation(d, damping=1.0)
+
+    @pytest.mark.parametrize("preference", [np.nan, np.inf, -np.inf])
+    def test_non_finite_preference_is_rejected(self, preference):
+        d, _ = three_blob_points(np.random.default_rng(367), per=3)
+        with pytest.raises(ValueError, match="preference must be finite"):
+            affinity_propagation(d, preference=preference)
 
     def test_identical_items_form_one_cluster(self):
         res = affinity_propagation(np.zeros((2, 2)), preference=-1.0)

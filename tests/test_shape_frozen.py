@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajkit import (DistanceSpec, Trajectory, compute_matrix, frechet, frechet_feasible, geometry,
-                     hausdorff, matrix, owd, shape, sowd, spd, sspd)
+from trajkit import (DistanceSpec, Trajectory, compute_matrix, discrete_frechet, frechet,
+                     frechet_feasible, geometry, hausdorff, matrix, owd, shape, sowd, spd, sspd)
 from trajkit.shape import (frechet_batch, frechet_candidates, hausdorff_batch, owd_samples,
                            sowd_batch)
 from trajkit.sspd import sspd_batch
@@ -115,16 +115,19 @@ def test_feasibility_is_monotone_in_the_radius():
         assert decisions == sorted(decisions)
 
 
-def test_feasibility_equals_the_frozen_decision_at_candidate_values():
+@pytest.mark.parametrize("band", [1, 7, shape._BAND])
+def test_feasibility_equals_the_frozen_decision_at_candidate_values(band, monkeypatch):
     # Radii exactly at the candidates, at the answer and one ulp either side
-    # of both, and a sweep of 41 radii: the radius inflation and every
-    # interval edge are exercised.
+    # of both, a sweep of 41 radii and NaN: the radius inflation and every
+    # interval edge are exercised. The decision computes its intervals in
+    # bands of one row, of rows that split the diagram unevenly, and whole.
+    monkeypatch.setattr(shape, "_BAND", band)
     for a, b in pairs(137, 15):
         frozen = FrozenFreeSpace(a, b)
         d = frechet(a, b)
         radii = [*frechet_candidates(a, b).tolist(), d, 0.5 * d, 2.0 * d, -1.0, 0.0]
         radii += [np.nextafter(r, s) for r in radii[:-2] for s in (-np.inf, np.inf)]
-        radii += np.linspace(0.0, 1.5 * d + 0.1, 41).tolist()
+        radii += np.linspace(0.0, 1.5 * d + 0.1, 41).tolist() + [np.nan]
         for eps in radii:
             assert frechet_feasible(a, b, eps) is frozen.feasible(float(eps))
 
@@ -173,7 +176,9 @@ def test_carrier_kernels_hold_bounded_memory(kernel):
 
 
 def test_decision_holds_two_rows_of_reachable_intervals():
-    # Tables of every boundary's interval would hold some 80,000 tuples, about 3.6 MiB.
+    # It holds the boundary intervals of one band of about _BAND cells and
+    # the reachable intervals of two rows; tables of every boundary's
+    # interval would hold some 80,000 tuples, about 3.6 MiB.
     rng = np.random.default_rng(171)
     a, b = smooth_walk(rng, 200), smooth_walk(rng, 200)
     space, eps = shape._FreeSpace(a, b), frechet(a, b)
@@ -184,6 +189,21 @@ def test_decision_holds_two_rows_of_reachable_intervals():
     finally:
         tracemalloc.stop()
     assert feasible and peak < 2**20
+
+
+def test_a_pair_holds_its_free_space_coefficients_once():
+    # Four coefficient arrays of about 0.7 MiB each; Python-list copies of
+    # them would add some 11 MiB.
+    rng = np.random.default_rng(173)
+    a, b = smooth_walk(rng, 300), smooth_walk(rng, 300)
+    eps = discrete_frechet(a, b)
+    tracemalloc.start()
+    try:
+        feasible = shape._FreeSpace(a, b).feasible(eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feasible and peak < 8 * 2**20
 
 
 def test_owd_equals_the_frozen_loop_on_long_dense_segments():
