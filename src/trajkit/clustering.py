@@ -33,6 +33,8 @@ __all__ = [
 
 LINKAGES = ("single", "average", "weighted", "ward")
 
+_BLOCK = 1 << 16  # cells of each n x n message array that one AP step works on at a time
+
 
 def _values(m: DistanceMatrix | np.ndarray) -> np.ndarray:
     if isinstance(m, DistanceMatrix):
@@ -221,7 +223,7 @@ def affinity_propagation(
 
     Parameters
     ----------
-    m : DistanceMatrix or square ndarray
+    m : DistanceMatrix or square ndarray, finite
     preference : float or "min-similarity"
         Diagonal self-similarity. The default uses the minimum observed
         similarity (the negated largest distance), which favours few
@@ -236,60 +238,96 @@ def affinity_propagation(
         Sweep budget and required stability window.
     """
     vals = _values(m)
+    if not isinstance(m, DistanceMatrix) and not np.isfinite(vals).all():
+        raise ValueError("affinity_propagation: expected a finite matrix")
     n = vals.shape[0]
+    if n < 1:
+        raise ValueError("affinity_propagation: empty matrix")
     if not 0.0 < damping < 1.0:
         raise ValueError("affinity_propagation: damping must be strictly inside (0, 1)")
     if max_iter < 1 or convergence_iter < 1:
         raise ValueError("affinity_propagation: iteration counts must be positive")
-    s = -vals
+    # The messages are updated a block of whole rows at a time, and a block
+    # of the similarities s = -vals (diagonal: pref) is built in sbuf when it
+    # is needed; so resp and avail are the only n x n arrays held here.
+    rows = min(n, max(1, _BLOCK // n))
+    blocks = []  # (first row, end row, rows counted from 0, the block's diagonal cells)
+    for r0 in range(0, n, rows):
+        i = np.arange(min(rows, n - r0))
+        blocks.append((r0, r0 + i.size, i, (i, i + r0)))
+    sbuf = np.empty((rows, n))
     if isinstance(preference, str):
         if preference != "min-similarity":
             raise ValueError(f"unknown preference {preference!r}; pass a number or 'min-similarity'")
-        np.fill_diagonal(s, np.inf)
-        pref = float(s.min()) if n > 1 else 0.0
+        top = -np.inf  # the largest off-diagonal distance
+        for r0, r1, _, diag in blocks:
+            block = sbuf[:r1 - r0]
+            np.copyto(block, vals[r0:r1])
+            block[diag] = -np.inf
+            top = max(top, float(block.max()))
+        pref = -top if n > 1 else 0.0
     else:
         pref = float(preference)
         if not math.isfinite(pref):
             raise ValueError(f"affinity_propagation: preference must be finite, got {pref!r}")
-    np.fill_diagonal(s, pref)
 
     if n == 1:
         assignment = ClusterAssignment(np.zeros(1, dtype=np.int64), 1)
         return APResult(assignment, (0,), True, 0, pref)
 
-    # The messages live in resp and avail and every update is written into
-    # them or into tmp: with s these are the only n x n arrays. Each damped
-    # update is damping * old + (1 - damping) * new, done in place.
-    idx = np.arange(n)
+    # Each damped update is damping * old + (1 - damping) * new, done in
+    # place. A block's new messages are worked out in rows 1.. of tbuf. The
+    # availabilities need the column sums of max(resp, 0) (diagonal: resp's
+    # own) over all rows: numpy's sum(axis=0) of a C-ordered array adds its
+    # rows one after another, so summing the running sum stacked as row 0
+    # above each later block gives the bits of one sum over the whole array.
     resp = np.zeros((n, n))
     avail = np.zeros((n, n))
-    tmp = np.empty((n, n))
+    tbuf = np.empty((rows + 1, n))
+    col = np.empty(n)
     stable = 0
     last_ex: np.ndarray | None = None
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         # responsibilities: how strongly i favours k over the runner-up
-        np.add(avail, s, out=tmp)
-        best = tmp.argmax(axis=1)
-        best_val = tmp[idx, best]
-        tmp[idx, best] = -np.inf
-        second_val = tmp.max(axis=1)
-        np.subtract(s, best_val[:, None], out=tmp)
-        tmp[idx, best] = s[idx, best] - second_val
-        resp *= damping
-        tmp *= 1.0 - damping
-        resp += tmp
+        for r0, r1, i, diag in blocks:
+            s = sbuf[:r1 - r0]
+            np.negative(vals[r0:r1], out=s)
+            s[diag] = pref
+            tmp = tbuf[1:r1 - r0 + 1]
+            np.add(avail[r0:r1], s, out=tmp)
+            best = tmp.argmax(axis=1)
+            best_val = tmp[i, best]
+            tmp[i, best] = -np.inf
+            second_val = tmp.max(axis=1)
+            np.subtract(s, best_val[:, None], out=tmp)
+            tmp[i, best] = s[i, best] - second_val
+            r = resp[r0:r1]
+            r *= damping
+            tmp *= 1.0 - damping
+            r += tmp
+            np.maximum(r, 0.0, out=tmp)
+            tmp[diag] = r[diag]
+            if r0 == 0:
+                tmp.sum(axis=0, out=col)
+            else:
+                tbuf[0] = col
+                tbuf[:r1 - r0 + 1].sum(axis=0, out=col)
         # availabilities: pooled positive support for k as an exemplar
-        np.maximum(resp, 0.0, out=tmp)
-        np.fill_diagonal(tmp, resp.diagonal())
-        np.subtract(tmp.sum(axis=0), tmp, out=tmp)
-        diag_a = tmp.diagonal().copy()
-        np.minimum(tmp, 0.0, out=tmp)
-        np.fill_diagonal(tmp, diag_a)
-        avail *= damping
-        tmp *= 1.0 - damping
-        avail += tmp
+        for r0, r1, _, diag in blocks:
+            tmp = tbuf[:r1 - r0]
+            r = resp[r0:r1]
+            np.maximum(r, 0.0, out=tmp)
+            tmp[diag] = r[diag]
+            np.subtract(col, tmp, out=tmp)
+            diag_a = tmp[diag]
+            np.minimum(tmp, 0.0, out=tmp)
+            tmp[diag] = diag_a
+            a = avail[r0:r1]
+            a *= damping
+            tmp *= 1.0 - damping
+            a += tmp
 
         ex = np.flatnonzero(avail.diagonal() + resp.diagonal() > 0.0)
         if last_ex is not None and ex.size and np.array_equal(ex, last_ex):
@@ -308,7 +346,9 @@ def affinity_propagation(
         ex = np.array([int(np.argmax(avail.diagonal() + resp.diagonal()))])
         converged = False
 
-    labels = (s[:, ex] + avail[:, ex]).argmax(axis=1)
+    s_ex = -vals[:, ex]
+    s_ex[ex, np.arange(ex.size)] = pref
+    labels = (s_ex + avail[:, ex]).argmax(axis=1)
     for pos, e in enumerate(ex):
         labels[e] = pos
     return APResult(

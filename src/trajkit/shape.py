@@ -70,6 +70,23 @@ def discrete_frechet(t1, t2) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _boundary_coefficients(p: np.ndarray, q: np.ndarray, dq: np.ndarray) -> tuple:
+    """b[i, j] = 2 (q[j] - p[i]) . dq[j] and c[i, j] = |q[j] - p[i]|^2: the
+    linear and constant terms of the boundaries pairing vertex i of p with
+    segment j of q. The (rows, m-1, 2) differences exist for a band of about
+    _CELLS cells at a time; einsum gives each element the same bits on a
+    band as on the whole array."""
+    b = np.empty((p.shape[0], dq.shape[0]))
+    c = np.empty_like(b)
+    band = max(1, _CELLS // q.shape[0])
+    for i0 in range(0, p.shape[0], band):
+        w = q[:-1][None, :, :] - p[i0:i0 + band, None, :]
+        np.einsum("ijc,jc->ij", w, dq, out=b[i0:i0 + band])
+        np.einsum("ijc,ijc->ij", w, w, out=c[i0:i0 + band])
+    b *= 2.0
+    return b, c
+
+
 def _intervals(a2, b, c0, eps2: float) -> tuple[list, list]:
     """Clamped parameter intervals where segments meet discs, elementwise.
 
@@ -105,12 +122,8 @@ class _FreeSpace:
         dp = p[1:] - p[:-1]  # (n-1, 2)
         self.qa = np.einsum("jc,jc->j", dq, dq)  # (m-1,)
         self.pa = np.einsum("ic,ic->i", dp, dp)  # (n-1,)
-        wv = q[:-1][None, :, :] - p[:, None, :]  # (n, m-1, 2)
-        self.vb = 2.0 * np.einsum("ijc,jc->ij", wv, dq)
-        self.vc = np.einsum("ijc,ijc->ij", wv, wv)
-        wh = p[:-1][None, :, :] - q[:, None, :]  # (m, n-1, 2)
-        self.hb = 2.0 * np.einsum("jic,ic->ji", wh, dp)
-        self.hc = np.einsum("jic,jic->ji", wh, wh)
+        self.vb, self.vc = _boundary_coefficients(p, q, dq)  # (n, m-1)
+        self.hb, self.hc = _boundary_coefficients(q, p, dp)  # (m, n-1)
         self.d_start = math.dist(p[0], q[0])
         self.d_end = math.dist(p[-1], q[-1])
 
@@ -230,6 +243,7 @@ class _FreeSpace:
 
 _TRIPLES = 1 << 16  # (vertex pair, segment) type-(c) values computed in one step
 _BAND = 1 << 10  # cells whose boundary intervals a decision computes in one step
+_CELLS = 1 << 16  # cells whose free-space coefficients are built in one step
 
 
 def _equidistant(a2: np.ndarray, b: np.ndarray, c: np.ndarray, lo: float, hi: float) -> list:

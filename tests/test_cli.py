@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from trajkit import (Trajectory, TrajectoryDataset, criteria, cut, hca, load_dataset,
-                     load_matrix, save_dataset)
+from trajkit import (DistanceMatrix, Trajectory, TrajectoryDataset, criteria, cut, hca,
+                     load_dataset, load_matrix, save_dataset, save_matrix)
 from trajkit.clustering import ClusterAssignment
 from trajkit.cli import main
 
@@ -198,6 +198,14 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: affinity_propagation: preference must be finite")
         assert not pipeline["clusters"].exists()
+
+    def test_ap_on_an_empty_matrix_is_a_clean_failure(self, tmp_path, capsys):
+        empty = tmp_path / "empty.trjd"
+        save_matrix(DistanceMatrix((), "sspd", np.zeros((0, 0))), empty)
+        rc = main(["cluster", str(empty), "-o", str(tmp_path / "c.csv"), "--method", "ap"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: affinity_propagation: empty matrix")
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("doc, reason", [
         ({"bundles": [{"count": 3}]}, "bundle 0: missing 'anchor'"),

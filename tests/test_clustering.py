@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
-from trajkit import (APResult, ClusterAssignment, CriteriaResult, affinity_propagation,
-                     criteria, cut, exemplar, hca)
+from trajkit import (APResult, ClusterAssignment, CriteriaResult, DistanceMatrix,
+                     affinity_propagation, clustering, criteria, cut, exemplar, hca)
 from trajkit.clustering import LINKAGES
 
 from oracles import allocating_ap, brute_criteria, brute_exemplar, scan_hca
@@ -235,10 +237,13 @@ class TestAffinityPropagation:
         assert res.assignment.k == 1
         assert res.assignment.labels.tolist() == [0, 0]
 
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["1-row", "7-row", "default"])
     @pytest.mark.parametrize("damping", [0.5, 0.9])
-    def test_result_equals_the_allocating_updates_bit_for_bit(self, damping):
+    def test_result_equals_the_allocating_updates_bit_for_bit(self, damping, rows, monkeypatch):
         # Random and tied matrices of 3-24 items; in a few of them the
-        # outcome turns on the last bit of the messages.
+        # outcome turns on the last bit of the messages. The messages are
+        # updated in blocks of 1 row, 7 rows and the default size; only the
+        # 300-item cloud is split by the default blocks.
         rng = np.random.default_rng(344)
         cases = []
         for t in range(40):
@@ -248,7 +253,12 @@ class TestAffinityPropagation:
                   (random_dissimilarity(rng, 20), {"preference": -4.0}),
                   (three_blob_points(rng)[0], {"max_iter": 3}),
                   (tied_dissimilarity(rng, 12), {"max_iter": 1})]
+        cloud = three_blob_points(rng, 100)[0]
+        budgets = [1, 5] if rows == 1 else [1, 5, 40, 1000]
+        cases += [(cloud, {"max_iter": max_iter}) for max_iter in budgets]
+        default = clustering._BLOCK
         for d, kwargs in cases:
+            monkeypatch.setattr(clustering, "_BLOCK", default if rows is None else rows * len(d))
             res = affinity_propagation(d, damping=damping, **kwargs)
             labels, exemplars, converged, n_iter, pref = allocating_ap(d, damping=damping, **kwargs)
             assert res.assignment.labels.tolist() == labels
@@ -256,6 +266,51 @@ class TestAffinityPropagation:
             assert res.converged == converged
             assert res.n_iter == n_iter
             assert res.preference_value == pref
+
+    def test_does_not_write_into_the_callers_array(self):
+        d, _ = three_blob_points(np.random.default_rng(383), per=40)
+        before = d.tobytes()
+        res = affinity_propagation(d, damping=0.9)
+        assert d.tobytes() == before
+        other = affinity_propagation(np.asfortranarray(d), damping=0.9)
+        assert other.assignment.labels.tolist() == res.assignment.labels.tolist()
+        assert (other.exemplars, other.converged, other.n_iter, other.preference_value) == (
+            res.exemplars, res.converged, res.n_iter, res.preference_value)
+
+    def test_holds_the_input_and_two_message_arrays(self):
+        # resp and avail are 2 n x n float64 arrays; the similarities and
+        # the scratch space exist a block of rows at a time.
+        n = 400
+        pts = np.random.default_rng(389).normal(0.0, 1.0, (n, 2)) + 10.0 * (np.arange(n) % 4)[:, None]
+        d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+        m = DistanceMatrix(tuple(map(str, range(n))), "blobs", d)
+        affinity_propagation(np.zeros((2, 2)))  # numpy's lazy set-up is not counted
+        tracemalloc.start()
+        try:
+            affinity_propagation(m, damping=0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
+
+    def test_empty_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="affinity_propagation: empty matrix"):
+            affinity_propagation(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_ndarray_that_is_not_finite_is_rejected(self, value):
+        d, _ = three_blob_points(np.random.default_rng(367), per=3)
+        d[2, 5] = value
+        with pytest.raises(ValueError, match="affinity_propagation: expected a finite matrix"):
+            affinity_propagation(d)
+
+    def test_asymmetric_ndarray_is_accepted(self):
+        d, _ = three_blob_points(np.random.default_rng(367), per=4)
+        d[0, 1] += 0.5
+        labels, exemplars, converged, n_iter, pref = allocating_ap(d)
+        res = affinity_propagation(d)
+        assert res.assignment.labels.tolist() == labels
+        assert (list(res.exemplars), res.n_iter, res.preference_value) == (exemplars, n_iter, pref)
 
     def test_far_items_are_self_consistent(self):
         d = np.array([[0.0, 50.0], [50.0, 0.0]])

@@ -132,6 +132,18 @@ def test_feasibility_equals_the_frozen_decision_at_candidate_values(band, monkey
             assert frechet_feasible(a, b, eps) is frozen.feasible(float(eps))
 
 
+@pytest.mark.parametrize("cells", [1, 7 * 30, shape._CELLS])
+def test_coefficients_equal_the_frozen_arrays_in_bands_of_any_size(cells, monkeypatch):
+    # Bands of one row, of 7 rows against a 30-point walk, and the default,
+    # which holds these short walks whole and splits the 400 x 250 pair.
+    monkeypatch.setattr(shape, "_CELLS", cells)
+    rng = np.random.default_rng(175)
+    for a, b in pairs(137, 15) + [(smooth_walk(rng, 400), smooth_walk(rng, 250))]:
+        fs, frozen = shape._FreeSpace(a, b), FrozenFreeSpace(a, b)
+        for name in ("qa", "pa", "vb", "vc", "hb", "hc"):
+            assert getattr(fs, name).tobytes() == getattr(frozen, name).tobytes(), name
+
+
 def test_critical_values_are_the_same_in_blocks_of_any_size(monkeypatch):
     spaces = [shape._FreeSpace(a, b) for a, b in pairs(137, 15)]
     whole = [fs.critical_values(fs.near(), 0.0, np.inf) for fs in spaces]
@@ -204,6 +216,20 @@ def test_a_pair_holds_its_free_space_coefficients_once():
     finally:
         tracemalloc.stop()
     assert feasible and peak < 8 * 2**20
+
+
+def test_free_space_of_long_walks_is_built_in_bounded_memory():
+    # The coefficients of two 1000-point walks take 30.5 MiB; the whole
+    # (n, m-1, 2) differences would add 15 MiB each.
+    rng = np.random.default_rng(177)
+    a, b = smooth_walk(rng, 1000), smooth_walk(rng, 1000)
+    tracemalloc.start()
+    try:
+        shape._FreeSpace(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_owd_equals_the_frozen_loop_on_long_dense_segments():
