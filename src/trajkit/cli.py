@@ -27,18 +27,17 @@ from .matrix import (DISTANCE_NAMES, DistanceSpec, MatrixComputationError, compu
 __all__ = ["main"]
 
 
-def _box(text: str) -> tuple[float, float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("box must be min_x,min_y,max_x,max_y")
-    return tuple(parts)  # type: ignore[return-value]
-
-
-def _pair(text: str) -> tuple[float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected x,y")
-    return (parts[0], parts[1])
+def _numbers(form: str):
+    """The argparse type of the finite numbers named in ``form``, e.g. ``x,y``."""
+    def parse(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(float(p) for p in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != form.count(",") + 1 or not np.isfinite(values).all():
+            raise argparse.ArgumentTypeError(f"expected {form} as finite numbers, got {text!r}")
+        return values
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,9 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wgs84", action="store_true",
                    help="treat coordinates as lat/lon and project to planar metres")
     p.add_argument("--min-points", type=int, default=2)
-    p.add_argument("--start-box", type=_box, default=None, metavar="X0,Y0,X1,Y1",
+    box = _numbers("min_x,min_y,max_x,max_y")
+    p.add_argument("--start-box", type=box, default=None, metavar="X0,Y0,X1,Y1",
                    help="keep trajectories starting inside this box (lon/lat for geographic input)")
-    p.add_argument("--end-box", type=_box, default=None, metavar="X0,Y0,X1,Y1")
+    p.add_argument("--end-box", type=box, default=None, metavar="X0,Y0,X1,Y1")
 
     p = sub.add_parser("synth", help="generate seeded bundles of noisy anchor resamplings")
     p.add_argument("spec", type=Path, help="JSON file: {\"bundles\": [{\"anchor\": [[x,y],...], "
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", required=True,
                    help=f"one of: {', '.join(DISTANCE_NAMES)} (lcss is stored as dlcss)")
     p.add_argument("--eps-d", type=float, default=None, help="matching threshold for dlcss/edr")
-    p.add_argument("--gap", type=_pair, default=None, metavar="X,Y",
+    p.add_argument("--gap", type=_numbers("x,y"), default=None, metavar="X,Y",
                    help="ERP gap point (default: projected-frame origin 0,0)")
     p.add_argument("--owd-density", type=float, default=None,
                    help="sowd arc-length samples per unit (default 1.0)")

@@ -36,12 +36,20 @@ LINKAGES = ("single", "average", "weighted", "ward")
 _BLOCK = 1 << 16  # cells of each n x n message array that one AP step works on at a time
 
 
-def _values(m: DistanceMatrix | np.ndarray) -> np.ndarray:
+def _values(m: DistanceMatrix | np.ndarray, name: str, symmetric: bool = False) -> np.ndarray:
+    """The values of ``m`` for call ``name``. A DistanceMatrix is trusted; a
+    bare array must be square and finite, and symmetric if ``symmetric``.
+    Either must be nonempty."""
     if isinstance(m, DistanceMatrix):
-        return m.values
-    vals = np.asarray(m, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-        raise ValueError("expected a square distance matrix")
+        vals = m.values
+    else:
+        vals = np.asarray(m, dtype=np.float64)
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+            raise ValueError(f"{name}: expected a square distance matrix")
+        if not np.isfinite(vals).all() or symmetric and not (vals == vals.T).all():
+            raise ValueError(f"{name}: expected a finite {'symmetric ' if symmetric else ''}matrix")
+    if vals.shape[0] == 0:
+        raise ValueError(f"{name}: empty matrix")
     return vals
 
 
@@ -118,12 +126,8 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}; expected one of {', '.join(LINKAGES)}")
-    vals = _values(m)
-    if not isinstance(m, DistanceMatrix) and not (np.isfinite(vals).all() and (vals == vals.T).all()):
-        raise ValueError("hca: expected a finite symmetric matrix")
+    vals = _values(m, "hca", symmetric=True)
     n = vals.shape[0]
-    if n < 1:
-        raise ValueError("hca: empty matrix")
     work = np.square(vals) if linkage == "ward" else vals.astype(np.float64)
     np.fill_diagonal(work, np.inf)
     sizes = np.ones(n)
@@ -237,12 +241,8 @@ def affinity_propagation(
     max_iter, convergence_iter : int
         Sweep budget and required stability window.
     """
-    vals = _values(m)
-    if not isinstance(m, DistanceMatrix) and not np.isfinite(vals).all():
-        raise ValueError("affinity_propagation: expected a finite matrix")
+    vals = np.ascontiguousarray(_values(m, "affinity_propagation"))
     n = vals.shape[0]
-    if n < 1:
-        raise ValueError("affinity_propagation: empty matrix")
     if not 0.0 < damping < 1.0:
         raise ValueError("affinity_propagation: damping must be strictly inside (0, 1)")
     if max_iter < 1 or convergence_iter < 1:
@@ -259,13 +259,8 @@ def affinity_propagation(
     if isinstance(preference, str):
         if preference != "min-similarity":
             raise ValueError(f"unknown preference {preference!r}; pass a number or 'min-similarity'")
-        top = -np.inf  # the largest off-diagonal distance
-        for r0, r1, _, diag in blocks:
-            block = sbuf[:r1 - r0]
-            np.copyto(block, vals[r0:r1])
-            block[diag] = -np.inf
-            top = max(top, float(block.max()))
-        pref = -top if n > 1 else 0.0
+        # Row r of this view runs from cell (r, r + 1) to cell (r + 1, r).
+        pref = -float(vals.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].max()) if n > 1 else 0.0
     else:
         pref = float(preference)
         if not math.isfinite(pref):
@@ -363,11 +358,14 @@ def affinity_propagation(
 def exemplar(indices: Sequence[int], m: DistanceMatrix | np.ndarray) -> int:
     """Most central member of an item subset: the member whose summed
     distance to the rest of the subset is smallest (ties break to the
-    lowest item index)."""
-    vals = _values(m)
-    if not isinstance(indices, np.ndarray):
-        indices = list(indices)
-    idx = np.asarray(indices, dtype=np.int64).ravel()
+    lowest item index). A bare array must be square, finite and nonempty."""
+    return _central(indices, _values(m, "exemplar"))
+
+
+def _central(indices: Sequence[int], vals: np.ndarray) -> int:
+    """:func:`exemplar` on the values of a matrix already checked."""
+    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices),
+                     dtype=np.int64).ravel()
     if not (idx[1:] > idx[:-1]).all():
         idx = np.unique(idx)
     if idx.size == 0:
@@ -401,17 +399,17 @@ def criteria(assignment: ClusterAssignment, m: DistanceMatrix | np.ndarray) -> C
     within-like criterion sums each cluster's mean distance from its
     exemplar to its members (0 when every item is its own cluster).
     """
-    vals = _values(m)
+    vals = _values(m, "criteria")
     labels = assignment.labels
     if labels.size != vals.shape[0]:
         raise ValueError("criteria: assignment and matrix size differ")
-    global_ex = exemplar(np.arange(vals.shape[0]), vals)
+    global_ex = _central(np.arange(vals.shape[0]), vals)
     bc = 0.0
     wc = 0.0
     exs: list[int] = []
     for c in range(assignment.k):
         members = assignment.members(c)
-        ex = exemplar(members, vals)
+        ex = _central(members, vals)
         exs.append(ex)
         bc += float(vals[global_ex, ex])
         wc += float(vals[ex, members].mean())

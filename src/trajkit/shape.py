@@ -135,8 +135,6 @@ class _FreeSpace:
         by one part in 1e12 so that intervals that open exactly at a
         candidate value survive floating-point rounding.
         """
-        if eps < 0.0:
-            return False
         if self.d_start > eps or self.d_end > eps:
             return False
         eps2 = (eps * (1.0 + 1e-12)) ** 2
@@ -195,11 +193,7 @@ class _FreeSpace:
                                 top[i] = (lo2, hi)
                 bot = top
 
-        if m >= 2 and side[n - 1][1] >= 1.0 and side[n - 1][0] <= 1.0:
-            return True
-        if n >= 2 and bot[n - 2][1] >= 1.0 and bot[n - 2][0] <= 1.0:
-            return True
-        return False
+        return side[n - 1][0] <= 1.0 <= side[n - 1][1] or bot[n - 2][0] <= 1.0 <= bot[n - 2][1]
 
     def near(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertex-to-segment distances: each vertex of P to each segment of Q,
@@ -463,11 +457,11 @@ class OwdSamples:
 
 
 def check_density(samples_per_unit, name: str) -> float:
-    """The sampling density of distance ``name`` as a float, 1.0 when
+    """The sampling density of distance ``name`` as a Python float, 1.0 when
     ``samples_per_unit`` is None; a ValueError unless positive and finite."""
-    density = 1.0 if samples_per_unit is None else float(samples_per_unit)
+    density = 1.0 if samples_per_unit is None else warping.real(samples_per_unit)
     if not 0 < density < math.inf:  # NaN fails it too
-        raise ValueError(f"{name}: samples_per_unit must be positive and finite, got {density!r}")
+        raise ValueError(f"{name}: samples_per_unit must be positive and finite, got {samples_per_unit!r}")
     return density
 
 

@@ -176,26 +176,32 @@ def dlcss_batch(store: PointStore, ia, ib, eps_d: float) -> np.ndarray:
 _PAIR = (np.array([0]), np.array([1]))
 
 
-def check_eps_d(eps_d, name: str):
-    """``eps_d`` if it is a matching threshold for distance ``name``: positive,
-    infinity included (it matches every pair of points); else a ValueError."""
+def real(value) -> float:
+    """``value`` as a Python float if it is an int or a float, numpy's
+    included; else NaN, for a bool too and for an int past float64's range."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        return float(value) if number else np.nan
+    except OverflowError:
+        return np.nan
+
+
+def check_eps_d(eps_d, name: str) -> float:
+    """``eps_d`` as a Python float if it is a matching threshold for distance ``name``:
+    positive, infinity included (it matches every pair of points); else a ValueError."""
     if eps_d is None:
         raise ValueError(f"{name} requires eps_d (matching threshold)")
-    if not eps_d > 0:  # NaN fails it too
+    value = real(eps_d)
+    if not value > 0:  # NaN fails it too
         raise ValueError(f"{name}: eps_d must be positive, got {eps_d!r}")
-    return eps_d
+    return value
 
 
 def check_gap(gap, name: str) -> tuple[float, float]:
     """The gap point of distance ``name`` as two Python floats, the origin
     when ``gap`` is None; a ValueError unless it is two finite numbers."""
     point = (0.0, 0.0) if gap is None else gap
-    point = tuple(point) if isinstance(point, (tuple, list, np.ndarray)) else ()
-    try:  # a bool is not a number; float() overflows past float64's range
-        point = tuple(float(g) if isinstance(g, (int, float, np.integer, np.floating))
-                      and not isinstance(g, bool) else np.nan for g in point)
-    except OverflowError:
-        point = ()
+    point = tuple(map(real, point)) if isinstance(point, (tuple, list, np.ndarray)) else ()
     if len(point) != 2 or not np.isfinite(point).all():
         raise ValueError(f"{name}: gap must be two finite numbers, got {gap!r}")
     return point

@@ -248,6 +248,56 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not (tmp_path / "m.trjd").exists()
 
+    @pytest.mark.parametrize("flag, form", [("--gap", "x,y"), ("--start-box", "min_x,min_y,max_x,max_y"),
+                                            ("--end-box", "min_x,min_y,max_x,max_y")])
+    @pytest.mark.parametrize("problem", ["one-more", "one-less", "word", "nan", "inf", "empty"])
+    def test_number_list_of_the_wrong_form_is_a_usage_error(self, tmp_path, capsys, flag, form,
+                                                            problem):
+        good = ["1"] * (form.count(",") + 1)
+        value = {"one-more": good + ["1"], "one-less": good[1:], "word": good[1:] + ["one"],
+                 "nan": good[1:] + ["nan"], "inf": good[1:] + ["-inf"], "empty": [""]}[problem]
+        value = ",".join(value)
+        command = (["matrix", str(tmp_path / "ds.csv"), "-o", str(tmp_path / "m.trjd"),
+                    "--distance", "erp"] if flag == "--gap"
+                   else ["ingest", str(tmp_path / "raw.csv"), "-o", str(tmp_path / "ds.csv")])
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + [f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        assert (f"argument {flag}: expected {form} as finite numbers, got {value!r}"
+                in capsys.readouterr().err)
+
+    def test_number_lists_reach_the_library(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("traj_id,x,y\na,0,0\na,5,5\nb,10,10\nb,20,20\n", encoding="utf-8")
+        ds = tmp_path / "ds.csv"
+        assert main(["ingest", str(raw), "-o", str(ds), "--start-box=-1,-1,1e0,1"]) == 0
+        assert load_dataset(ds).ids == ("a",)
+        assert main(["ingest", str(raw), "-o", str(ds), "--end-box", "15,15,25,25"]) == 0
+        assert load_dataset(ds).ids == ("b",)
+        assert main(["matrix", str(ds), "-o", str(tmp_path / "m.trjd"), "--distance", "erp",
+                     "--gap=1.5,-2"]) == 0
+        assert load_matrix(tmp_path / "m.trjd").kind == "erp(gap=(1.5, -2.0))"
+
+    def test_criteria_k_range_is_checked(self, pipeline, capsys):
+        main(["synth", str(pipeline["spec"]), "-o", str(pipeline["dataset"]), "--seed", "1"])
+        main(["matrix", str(pipeline["dataset"]), "-o", str(pipeline["matrix"]), "--distance", "sspd"])
+        capsys.readouterr()
+        for k_min, k_max in (("0", "3"), ("4", "3"), ("1", "25")):
+            rc = main(["criteria", str(pipeline["matrix"]), "-o", str(pipeline["criteria"]),
+                       "--k-min", k_min, "--k-max", k_max])
+            assert rc == 1
+            assert capsys.readouterr().err == "error: criteria: need 1 <= k-min <= k-max <= 24\n"
+        assert not pipeline["criteria"].exists()
+
+    def test_ap_that_does_not_converge_warns(self, pipeline, capsys):
+        main(["synth", str(pipeline["spec"]), "-o", str(pipeline["dataset"]), "--seed", "1"])
+        main(["matrix", str(pipeline["dataset"]), "-o", str(pipeline["matrix"]), "--distance", "sspd"])
+        capsys.readouterr()
+        assert main(["cluster", str(pipeline["matrix"]), "-o", str(pipeline["clusters"]),
+                     "--method", "ap", "--max-iter", "2"]) == 0
+        assert "warning: affinity propagation did not converge" in capsys.readouterr().err
+        assert len(read_rows(pipeline["clusters"])) == 24
+
     def test_corrupt_matrix_file_is_a_clean_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.trjd"
         bad.write_bytes(b"garbage-not-a-matrix")

@@ -46,6 +46,44 @@ def purity(labels, truth) -> float:
     return hits / labels.size
 
 
+#: (a call that clusters a bare matrix d, the name its messages use, whether d must be symmetric);
+#: the matrix is checked before criteria's assignment is.
+BARE_MATRIX_CALLS = [
+    (lambda d: hca(d), "hca", True),
+    (lambda d: affinity_propagation(d), "affinity_propagation", False),
+    (lambda d: exemplar(range(len(d)), d), "exemplar", False),
+    (lambda d: criteria(ClusterAssignment(np.zeros(1, dtype=np.int64), 1), d), "criteria", False),
+]
+
+
+@pytest.mark.parametrize("call, name, symmetric", BARE_MATRIX_CALLS,
+                         ids=[name for _, name, _ in BARE_MATRIX_CALLS])
+@pytest.mark.parametrize("d, problem", [
+    (np.zeros((2, 3)), "expected a square distance matrix"),
+    (np.zeros(3), "expected a square distance matrix"),
+    (squareform([1.0, np.nan, 4.0]), "expected a finite"),
+    (squareform([1.0, np.inf, 4.0]), "expected a finite"),
+    (np.full((3, 3), np.inf), "expected a finite"),
+    (np.zeros((0, 0)), "empty matrix")],
+    ids=["not-square", "not-2-d", "nan", "inf", "all-inf", "empty"])
+def test_every_call_checks_a_bare_matrix_by_one_rule(call, name, symmetric, d, problem):
+    if problem == "expected a finite":
+        problem += " symmetric matrix" if symmetric else " matrix"
+    with pytest.raises(ValueError) as error:
+        call(d)
+    assert str(error.value) == f"{name}: {problem}"
+
+
+class TestClusterAssignment:
+    @pytest.mark.parametrize("labels, k, match", [
+        (np.zeros((2, 2)), 1, "1-D"), (np.zeros(2), 0, "invalid cluster count"),
+        (np.zeros(2), 3, "invalid cluster count"), (np.array([0, 2, 2]), 2, "cover 0..k-1"),
+        (np.array([1, 1]), 1, "cover 0..k-1")])
+    def test_rejects_labels_that_are_not_k_nonempty_clusters(self, labels, k, match):
+        with pytest.raises(ValueError, match=match):
+            ClusterAssignment(labels, k)
+
+
 class TestHca:
     def test_average_linkage_on_three_points(self):
         # items on a line at 0, 1, 5: merge (0,1) at 1, then the pair joins
@@ -312,6 +350,19 @@ class TestAffinityPropagation:
         assert res.assignment.labels.tolist() == labels
         assert (list(res.exemplars), res.n_iter, res.preference_value) == (exemplars, n_iter, pref)
 
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"convergence_iter": 0}])
+    def test_iteration_counts_must_be_positive(self, kwargs):
+        with pytest.raises(ValueError, match="affinity_propagation: iteration counts must be positive"):
+            affinity_propagation(np.zeros((2, 2)), **kwargs)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_min_similarity_is_minus_the_largest_off_diagonal_distance(self, n, order):
+        d = np.random.default_rng(401 + n).uniform(1.0, 10.0, (n, n))  # not symmetric
+        np.fill_diagonal(d, 100.0)  # the diagonal is not a distance between two items
+        res = affinity_propagation(np.asarray(d, order=order), max_iter=1)
+        assert res.preference_value == -d[~np.eye(n, dtype=bool)].max()
+
     def test_far_items_are_self_consistent(self):
         d = np.array([[0.0, 50.0], [50.0, 0.0]])
         res = affinity_propagation(d)
@@ -338,6 +389,13 @@ class TestExemplar:
     def test_singleton(self):
         d = squareform([1.0, 5.0, 4.0])
         assert exemplar([2], d) == 2
+
+    @pytest.mark.parametrize("indices, match", [
+        ([], "exemplar: empty index set"), ([0, 3], "exemplar: index out of range"),
+        ([-1, 1], "exemplar: index out of range")])
+    def test_rejects_index_sets_that_name_no_item(self, indices, match):
+        with pytest.raises(ValueError, match=match):
+            exemplar(indices, squareform([1.0, 5.0, 4.0]))
 
     def test_order_duplicates_and_layout_do_not_matter(self):
         rng = np.random.default_rng(379)
@@ -391,6 +449,10 @@ class TestCriteria:
             want_bc, want_wc = brute_criteria(labels, d)
             assert res.bc == pytest.approx(want_bc, rel=1e-12)
             assert res.wc == pytest.approx(want_wc, rel=1e-12)
+
+    def test_assignment_and_matrix_must_have_the_same_size(self):
+        with pytest.raises(ValueError, match="criteria: assignment and matrix size differ"):
+            criteria(ClusterAssignment(np.array([0, 1]), 2), squareform([1.0, 5.0, 4.0]))
 
     def test_reports_the_exemplars_used(self):
         d = squareform([1.0, 5.0, 4.0])

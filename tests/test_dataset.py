@@ -111,6 +111,15 @@ class TestCsvIngest:
         with pytest.raises(IngestError, match="no trajectories left.*too_short"):
             ingest(write(tmp_path, "d.csv", PLANAR_CSV), min_points=10)
 
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty file"),
+        ("traj_id,east,north\na,0,0\n", "header must name x,y or lat,lon coordinate columns"),
+        ("traj_id,x,y,t\na,0,0,0\na,1,0,noon\n", "line 3: cannot parse time 'noon'")],
+        ids=["empty", "no-coordinates", "bad-time"])
+    def test_unreadable_file_is_rejected(self, tmp_path, text, match):
+        with pytest.raises(IngestError, match=match):
+            ingest(write(tmp_path, "d.csv", text))
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
             ingest(write(tmp_path, "d.csv", PLANAR_CSV), fmt="parquet")
@@ -151,6 +160,19 @@ class TestGeojsonIngest:
         del doc["features"][1]["properties"]["traj_id"]
         p = write(tmp_path, "d.geojson", json.dumps(doc))
         with pytest.raises(IngestError, match="feature 1.*no id"):
+            ingest(p, fmt="geojson")
+
+    @pytest.mark.parametrize("feature, key, value, match", [
+        (None, "type", "Feature", "expected a GeoJSON FeatureCollection"),
+        (0, "properties", {"timestamps": [0]}, "feature 0: timestamps and coordinates differ"),
+        (1, "geometry", {"type": "LineString", "coordinates": [[2.4, 48.8], [2.41]]},
+         "feature 1: coordinate 1 is not a lon,lat pair")],
+        ids=["not-a-collection", "timestamps", "short-pair"])
+    def test_malformed_document_is_rejected(self, tmp_path, feature, key, value, match):
+        doc = self.make_doc()
+        (doc if feature is None else doc["features"][feature])[key] = value
+        p = write(tmp_path, "d.geojson", json.dumps(doc))
+        with pytest.raises(IngestError, match=match):
             ingest(p, fmt="geojson")
 
     def test_invalid_json_rejected(self, tmp_path):
@@ -209,6 +231,12 @@ class TestSynth:
             BundleSpec(anchor=self.ANCHOR, count=1, jitter=-0.1)
         with pytest.raises(ValueError, match="points range"):
             BundleSpec(anchor=self.ANCHOR, count=1, points=(1, 5))
+
+    def test_non_finite_anchor_and_no_bundles_are_rejected(self):
+        with pytest.raises(ValueError, match="bundle anchor must be finite"):
+            BundleSpec(anchor=np.array([(0.0, 0.0), (np.inf, 0.0)]), count=1)
+        with pytest.raises(ValueError, match="synth: need at least one bundle"):
+            synth([], seed=0)
 
 
 class TestSaveLoad:

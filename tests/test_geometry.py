@@ -43,6 +43,10 @@ class TestTrajectory:
             Trajectory(id="t", points=[(0.0, 0.0), (1.0, 0.0)],
                        timestamps=[0.0, 1.0, 2.0])
 
+    def test_timestamps_must_be_finite(self):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            Trajectory(id="t", points=[(0.0, 0.0), (1.0, 0.0)], timestamps=[0.0, np.nan])
+
     def test_length_is_rigid_motion_invariant(self):
         rng = np.random.default_rng(7)
         pts = smooth_walk(rng, 12)

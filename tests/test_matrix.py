@@ -2,6 +2,7 @@ import csv
 import multiprocessing.pool
 import os
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from trajkit import (DistanceMatrix, DistanceSpec, MatrixComputationError,
                      MatrixFormatError, Trajectory, compute_matrix, dlcss, edr, erp, lcss,
                      load_matrix, owd, save_matrix, save_matrix_csv, sowd, sspd)
-from trajkit import matrix
+from trajkit import matrix, warping
 from trajkit.matrix import DISTANCE_NAMES
 
 from conftest import DIRECT, walk_trajectory
@@ -26,8 +27,8 @@ def small_fleet(seed: int = 211, n: int = 6, points: int = 6):
 BAD_GAPS = [(1.0, 2.0, 3.0), (1.0,), (float("nan"), 0.0), (0.0, float("inf")), (-np.inf, 1.0),
             5.0, "12", ((1.0, 2.0), (3.0, 4.0)), (1.0, "2"), (1.0, 1j), (True, 0.0),
             (np.bool_(False), 1.0), (10**400, 0.0)]
-BAD_EPS = [None, 0.0, -1.0, np.nan, -np.inf]
-BAD_DENSITIES = [0.0, -1.0, np.nan, np.inf, -np.inf]
+BAD_EPS = [None, 0.0, -1.0, np.nan, -np.inf, True, "1"]
+BAD_DENSITIES = [0.0, -1.0, np.nan, np.inf, -np.inf, True, "2"]
 
 #: (DistanceSpec name, field, single-pair call, the name its messages use, bad value)
 RULE_CASES = ([("dlcss", "eps_d", call, call.__name__, v) for call in (lcss, dlcss) for v in BAD_EPS]
@@ -107,6 +108,24 @@ class TestDistanceSpec:
             assert back == spec.gap == tuple(float(g) for g in gap)
             assert DistanceSpec("erp", gap=back).render() == text
 
+    @pytest.mark.parametrize("name, field, values, kind", [
+        ("edr", "eps_d", [1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1)], "edr(eps_d=1.0)"),
+        ("dlcss", "eps_d", [1, 1.0, np.float64(1.0), np.uint8(1)], "dlcss(eps_d=1.0)"),
+        ("sowd", "samples_per_unit", [2, 2.0, np.float64(2.0), np.int32(2)],
+         "sowd(samples_per_unit=2.0)"),
+        ("erp", "gap", [(1, 0), [1.0, 0.0], np.array([1, 0]), (np.float32(1.0), np.int8(0))],
+         "erp(gap=(1.0, 0.0))")])
+    def test_equal_specs_store_one_kind(self, tmp_path, name, field, values, kind):
+        # A parameter is stored as Python floats, so equal specs render and save alike.
+        specs = [DistanceSpec(name, **{field: v}) for v in values]
+        assert len(set(specs)) == 1 and {s.render() for s in specs} == {kind}
+        fleet = small_fleet(n=3)
+        saved = set()
+        for k, spec in enumerate(specs):
+            save_matrix(compute_matrix(fleet, spec), tmp_path / f"{k}.trjd")
+            saved.add((tmp_path / f"{k}.trjd").read_bytes())
+        assert len(saved) == 1 and kind.encode() in saved.pop()
+
     def test_render_roundtrips_parameters(self):
         assert DistanceSpec("edr", eps_d=0.5).render() == "edr(eps_d=0.5)"
         assert DistanceSpec("dtw").render() == "dtw"
@@ -147,6 +166,15 @@ class TestDistanceMatrix:
         bad = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
             DistanceMatrix(("a", "b"), "dtw", bad)
+
+    @pytest.mark.parametrize("ids, values, match", [
+        (("a", "b"), np.zeros((2, 3)), "must be square"),
+        (("a", "a"), np.zeros((2, 2)), "ids must be unique"),
+        (("a", "b"), np.array([[0.0, np.inf], [np.inf, 0.0]]), "must be finite"),
+        (("a", "b"), np.array([[0.0, -1.0], [-1.0, 0.0]]), "must be non-negative")])
+    def test_rejects_values_that_are_not_distances(self, ids, values, match):
+        with pytest.raises(ValueError, match=match):
+            DistanceMatrix(ids, "dtw", values)
 
     def test_constructor_copies_the_callers_array(self):
         vals = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -300,6 +328,36 @@ class TestComputeMatrix:
         assert calls == []
         assert multiprocessing.active_children() == []
         assert parallel.values.tobytes() == compute_matrix(fleet, "sspd").values.tobytes()
+
+    def test_pool_ranges_hold_at_most_16_dp_batches(self, monkeypatch):
+        # A range's memory grows with its size, so no range may grow with n^2.
+        eval_range = matrix._eval_range
+
+        def bounded(job, bounds):
+            assert bounds[1] - bounds[0] <= 16 * warping.CHUNK, bounds
+            return eval_range(job, bounds)
+        monkeypatch.setattr(matrix, "_eval_range", bounded)  # fork carries it into the workers
+        rng = np.random.default_rng(239)
+        fleet = [walk_trajectory(rng, 5, f"t{k}") for k in range(400)]
+        pooled = compute_matrix(fleet, "dtw", workers=2)
+        assert pooled.values.tobytes() == compute_matrix(fleet, "dtw").values.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_error_in_a_range_ends_the_job(self, monkeypatch, workers):
+        def fail(job, bounds):
+            raise RuntimeError(f"range {bounds} failed")
+        monkeypatch.setattr(matrix, "_eval_range", fail)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"range \(\d+, \d+\) failed"):
+            compute_matrix(small_fleet(n=40), "dtw", workers=workers)
+        assert time.perf_counter() - t0 < 10.0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fleet, workers, match", [
+        ([], 1, "at least one trajectory"), (small_fleet(n=2), 0, "workers must be >= 1")])
+    def test_rejects_an_empty_job_and_no_workers(self, fleet, workers, match):
+        with pytest.raises(ValueError, match=match):
+            compute_matrix(fleet, "dtw", workers=workers)
 
     def test_duplicate_ids_rejected(self):
         fleet = small_fleet(n=2)
@@ -473,7 +531,7 @@ def test_workers_speed_up_large_matrices():
     bound = 1 / workers + 0.25
     # n=600: the serial sspd matrix takes about 0.9 s, so pool start-up (about
     # 25 ms) and the last range's tail stay a small share. Its pool ranges
-    # (11,231 pairs) cost no more per pair than its serial ones (4,096).
+    # hold 4,096 pairs, as its serial ones do.
     fleet = small_fleet(seed=227, n=600, points=10)
     # Interleaved rounds: each ratio compares runs that saw the same host speed,
     # and the median drops rounds disturbed by other load on a shared host.

@@ -30,6 +30,10 @@ class TestSpd:
         with pytest.raises(ValueError, match="at least 2"):
             spd([(0.0, 0.0), (1.0, 0.0)], [(0.0, 0.0)])
 
+    def test_rejects_empty_source(self):
+        with pytest.raises(ValueError, match="spd: first trajectory is empty"):
+            spd(np.empty((0, 2)), [(0.0, 0.0), (1.0, 0.0)])
+
 
 class TestSspd:
     def test_identical_inputs_give_zero(self):
