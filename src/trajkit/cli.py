@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -19,8 +18,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from .clustering import LINKAGES, affinity_propagation, criteria, cut, exemplar, hca
-from .dataset import (BundleSpec, TrajectoryDataset, ingest, load_dataset, save_dataset, synth,
-                      write_csv)
+from .dataset import (BundleSpec, ingest, load_dataset, read_json, save_dataset, synth, write_csv,
+                      write_json)
 from .matrix import (DISTANCE_NAMES, DistanceSpec, MatrixComputationError, compute_matrix,
                      load_matrix, save_matrix, save_matrix_csv)
 
@@ -124,13 +123,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _bundles(path: Path) -> list[BundleSpec]:
     """The bundles of a synth spec file; a malformed spec raises a ValueError naming the file."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    docs = doc.get("bundles") if isinstance(doc, dict) else None
+    docs = read_json(path).get("bundles")
     if not isinstance(docs, list) or not docs:
-        raise ValueError(f"{path}: spec JSON needs to be an object with a nonempty 'bundles' list")
+        raise ValueError(f"{path}: spec JSON needs a nonempty 'bundles' list")
     bundles = []
     for k, b in enumerate(docs):
         try:
@@ -215,8 +210,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report = bench_mod.run_bench(n=args.n, points=args.points, seed=args.seed,
                                  distances=distances, workers=args.workers,
                                  repeats=args.repeats)
-    args.output.write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n",
-                           encoding="utf-8")
+    write_json(args.output, dataclasses.asdict(report))
     order = sorted(report.timings, key=lambda d: report.timings[d]["serial"])
     print(f"benchmarked {len(order)} distances on n={args.n} ({report.environment})")
     for name in order:

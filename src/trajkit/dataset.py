@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Trajectory, project_wgs84, segment_lengths
+from .warping import real
 
 __all__ = [
     "BundleSpec",
@@ -68,19 +70,41 @@ class TrajectoryDataset:
         return tuple(t.id for t in self.trajectories)
 
 
-def _parse_time(text: str, line_no: int) -> float:
-    """Epoch seconds from a float literal or an ISO-8601 timestamp."""
+def _number(value) -> float:
+    """A CSV field or a JSON value as a float: NaN unless it is a number or a
+    numeric string."""
     try:
-        return float(text)
+        return float(value) if isinstance(value, str) else real(value)
     except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise IngestError(f"line {line_no}: cannot parse time {text!r}: {exc}") from None
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.timestamp()
+        return math.nan
+
+
+def _parse_time(value, where: str) -> float:
+    """Epoch seconds, finite, from a number, a float literal or an ISO-8601
+    timestamp; else an IngestError naming ``where``."""
+    seconds = _number(value)
+    if isinstance(value, str) and not math.isfinite(seconds):
+        try:
+            stamp = datetime.fromisoformat(value)
+        except ValueError as exc:
+            raise IngestError(f"{where}: cannot parse time {value!r}: {exc}") from None
+        seconds = (stamp if stamp.tzinfo else stamp.replace(tzinfo=timezone.utc)).timestamp()
+    if not math.isfinite(seconds):
+        raise IngestError(f"{where}: time must be a finite number, got {value!r}")
+    return seconds
+
+
+def _record(where: str, tid, a, b, t) -> tuple[str, float, float, float | None]:
+    """One input row, a CSV line or a GeoJSON coordinate, as (id, a, b, t):
+    a nonblank id, two finite numbers and an optional time (None when ``t``
+    is); else an IngestError naming ``where``."""
+    tid = str(tid)
+    if not tid.strip():
+        raise IngestError(f"{where}: empty trajectory id")
+    x, y = _number(a), _number(b)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise IngestError(f"{where}: bad coordinate: expected two finite numbers, got {a!r}, {b!r}")
+    return tid, x, y, None if t is None else _parse_time(t, where)
 
 
 def _read_rows(path: Path) -> tuple[bool, list[tuple[str, float, float, float | None]]]:
@@ -110,65 +134,71 @@ def _read_rows(path: Path) -> tuple[bool, list[tuple[str, float, float, float | 
                 continue
             if len(row) != len(cols):
                 raise IngestError(f"line {line_no}: expected {len(cols)} fields, got {len(row)}")
-            tid = row[id_col]
-            if not tid.strip():
-                raise IngestError(f"line {line_no}: empty trajectory id")
-            try:
-                a = float(row[a_col])
-                b = float(row[b_col])
-            except ValueError as exc:
-                raise IngestError(f"line {line_no}: bad coordinate: {exc}") from None
-            t: float | None = None
-            if t_col is not None and row[t_col].strip():
-                t = _parse_time(row[t_col].strip(), line_no)
-            rows.append((tid, a, b, t))
+            t = None if t_col is None else row[t_col].strip() or None
+            rows.append(_record(f"line {line_no}", row[id_col], row[a_col], row[b_col], t))
     return geographic, rows
+
+
+def _member(obj: dict, key: str, kind: type, where: str, default):
+    """``obj[key]`` if it is a ``kind`` (dict or list), ``default`` if it is
+    absent or null; else an IngestError naming ``where``."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        raise IngestError(f"{where}: {key} must be {'an object' if kind is dict else 'a list'}")
+    return value
 
 
 def _read_geojson(path: Path) -> list[tuple[str, float, float, float | None]]:
     """LineString features of a GeoJSON FeatureCollection as flat rows
     (lat, lon order, matching the geographic CSV convention)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path)
     if doc.get("type") != "FeatureCollection":
         raise IngestError(f"{path}: expected a GeoJSON FeatureCollection")
     rows = []
-    for k, feature in enumerate(doc.get("features", [])):
-        geom = feature.get("geometry") or {}
+    for k, feature in enumerate(_member(doc, "features", list, str(path), [])):
+        if not isinstance(feature, dict):
+            raise IngestError(f"feature {k}: must be an object")
+        geom = _member(feature, "geometry", dict, f"feature {k}", {})
         if geom.get("type") != "LineString":
             raise IngestError(f"feature {k}: only LineString geometries are supported")
-        props = feature.get("properties") or {}
+        props = _member(feature, "properties", dict, f"feature {k}", {})
         tid = feature.get("id", props.get("traj_id", props.get("id")))
         if tid is None:
             raise IngestError(f"feature {k}: no id (feature.id or properties.traj_id)")
-        coords = geom.get("coordinates") or []
-        times = props.get("timestamps")
+        coords = _member(geom, "coordinates", list, f"feature {k}", [])
+        times = _member(props, "timestamps", list, f"feature {k}", None)
         if times is not None and len(times) != len(coords):
             raise IngestError(f"feature {k}: timestamps and coordinates differ in length")
         for p, pair in enumerate(coords):
-            if len(pair) < 2:
+            if not isinstance(pair, list) or len(pair) < 2:
                 raise IngestError(f"feature {k}: coordinate {p} is not a lon,lat pair")
-            t = None
-            if times is not None:
-                t = times[p] if isinstance(times[p], (int, float)) else _parse_time(str(times[p]), p)
-            rows.append((str(tid), float(pair[1]), float(pair[0]), t))
+            rows.append(_record(f"feature {k}, coordinate {p}", tid, pair[1], pair[0],
+                                None if times is None else times[p]))
     return rows
 
 
-def _grouped(rows: list) -> dict[str, list[tuple[float, float, float | None]]]:
-    """The (a, b, t) rows of each trajectory id, ids in order of first
-    appearance. A trajectory's rows must all have a timestamp or all lack one."""
+def _grouped(rows: list) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
+    """The points and times of each trajectory id, ids in order of first
+    appearance and each trajectory's rows in order of time. A trajectory's
+    rows must all have a time or all lack one, and its times must differ."""
     by_id: dict[str, list[tuple[float, float, float | None]]] = {}
     for tid, a, b, t in rows:
         by_id.setdefault(tid, []).append((a, b, t))
+    arrays = {}
     for tid, recs in by_id.items():
         timed = [r[2] is not None for r in recs]
         if any(timed) != all(timed):
             raise IngestError(f"trajectory {tid!r}: some rows have timestamps and some do not")
-    return by_id
+        ts = None
+        if timed[0]:
+            recs.sort(key=lambda r: r[2])
+            ts = np.array([r[2] for r in recs])
+            if np.any(np.diff(ts) <= 0):
+                raise IngestError(f"trajectory {tid!r}: timestamps are not strictly increasing")
+        arrays[tid] = (np.array([r[:2] for r in recs], dtype=np.float64), ts)
+    return arrays
 
 
 def _in_box(point: np.ndarray, box: tuple[float, float, float, float]) -> bool:
@@ -206,8 +236,9 @@ def ingest(
     Raises
     ------
     IngestError
-        Malformed rows (reported with line numbers), non-monotone
-        timestamps within an id, or an empty post-filter result.
+        Malformed rows (reported by line, or by GeoJSON feature and
+        coordinate), repeated timestamps within an id, a malformed GeoJSON
+        document, or an empty post-filter result.
     """
     path = Path(path)
     if fmt == "csv":
@@ -226,15 +257,7 @@ def ingest(
     dropped = {"too_short": 0, "start_box": 0, "end_box": 0}
     min_points = max(2, int(min_points))
     kept: list[tuple[str, np.ndarray, np.ndarray | None]] = []
-    for tid, recs in by_id.items():
-        if recs[0][2] is not None:
-            recs = sorted(recs, key=lambda r: r[2])
-            ts = np.array([r[2] for r in recs])
-            if np.any(np.diff(ts) <= 0):
-                raise IngestError(f"trajectory {tid!r}: timestamps are not strictly increasing")
-        else:
-            ts = None
-        pts = np.array([(r[0], r[1]) for r in recs], dtype=np.float64)
+    for tid, (pts, ts) in by_id.items():
         if pts.shape[0] < min_points:
             dropped["too_short"] += 1
             continue
@@ -393,6 +416,25 @@ def write_csv(path: str | Path, header: list, rows) -> None:
         out.writerows(rows)
 
 
+def read_json(path: str | Path) -> dict:
+    """The JSON object that the UTF-8 file ``path`` holds; an IngestError
+    naming the file if it is not JSON or not an object. Every JSON file that
+    trajkit reads goes through here."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise IngestError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise IngestError(f"{path}: expected a JSON object at the top level")
+    return doc
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as UTF-8 JSON, indented by 2, with a final newline.
+    Every JSON file that trajkit writes goes through here."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     """Write the canonical ``traj_id,x,y,t`` CSV plus a metadata sidecar.
 
@@ -405,8 +447,7 @@ def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     write_csv(path, ["traj_id", "x", "y", "t"],
               ([traj.id, repr(x), repr(y), t] for traj, ts in zip(dataset.trajectories, times)
                for (x, y), t in zip(traj.points.tolist(), ts)))
-    meta = {"crs": dataset.crs, "provenance": dataset.provenance}
-    _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    write_json(_meta_path(path), {"crs": dataset.crs, "provenance": dataset.provenance})
 
 
 def load_dataset(path: str | Path) -> TrajectoryDataset:
@@ -415,16 +456,8 @@ def load_dataset(path: str | Path) -> TrajectoryDataset:
     geographic, rows = _read_rows(path)
     if geographic:
         raise IngestError(f"{path}: canonical datasets are planar; run ingest for lat/lon data")
-    trajectories = []
-    for tid, recs in _grouped(rows).items():
-        ts = None if recs[0][2] is None else np.array([r[2] for r in recs], dtype=np.float64)
-        pts = np.array([(r[0], r[1]) for r in recs], dtype=np.float64)
-        trajectories.append(Trajectory(tid, pts, ts))
-    crs: dict = {"kind": "planar"}
-    provenance: dict = {"source": str(path)}
+    trajectories = [Trajectory(tid, pts, ts) for tid, (pts, ts) in _grouped(rows).items()]
     meta_file = _meta_path(path)
-    if meta_file.exists():
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        crs = meta.get("crs", crs)
-        provenance = meta.get("provenance", provenance)
-    return TrajectoryDataset(tuple(trajectories), crs, provenance)
+    meta = read_json(meta_file) if meta_file.exists() else {}
+    return TrajectoryDataset(tuple(trajectories), meta.get("crs", {"kind": "planar"}),
+                             meta.get("provenance", {"source": str(path)}))

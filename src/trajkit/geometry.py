@@ -74,7 +74,9 @@ def as_points(obj: Trajectory | Iterable) -> np.ndarray:
 
     Accepts bare point sequences (including empty and single-point ones) so
     that alignment distances can honour their recursive base cases even on
-    inputs too short to be valid :class:`Trajectory` objects.
+    inputs too short to be valid :class:`Trajectory` objects. A bare
+    sequence must be finite, as a Trajectory's points are; a Trajectory's
+    points, checked when it was built, are returned as they are.
     """
     if isinstance(obj, Trajectory):
         return obj.points
@@ -82,9 +84,11 @@ def as_points(obj: Trajectory | Iterable) -> np.ndarray:
     if pts.size == 0:
         return pts.reshape(0, 2)
     if pts.ndim == 1 and pts.shape[0] == 2:
-        return pts.reshape(1, 2)
+        pts = pts.reshape(1, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return pts
 
 

@@ -273,7 +273,7 @@ def compute_matrix(
         raise ValueError("compute_matrix: workers must be >= 1")
     n = len(trajectories)
     npairs = n * (n - 1) // 2
-    store = warping.PointStore.pack([t.points for t in trajectories])
+    store = warping.PointStore.pack(trajectories)  # points checked when each was built
     batch, fields = _KERNELS[spec.name]
     params = tuple(getattr(spec, f) for f in fields)
     if spec.name in _BATCH_PARAMS:

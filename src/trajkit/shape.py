@@ -525,9 +525,8 @@ def _check_samples(store: PointStore, samples: OwdSamples, ia: np.ndarray, ib: n
 
 def _owd_pair(t1, t2, samples_per_unit: float) -> tuple[PointStore, OwdSamples]:
     """The pair packed and sampled, with owd's checks on the pair (t1, t2)."""
-    a = _shape_points(t1, "owd")
-    b = _shape_points(t2, "owd")
-    store = PointStore.pack([a, b])
+    store = PointStore.pack([t1, t2])
+    store.require_carriers(*_PAIR, "owd: needs trajectories with at least 2 points")
     samples = owd_samples(store, check_density(samples_per_unit, "owd"))
     _check_samples(store, samples, *_PAIR)
     return store, samples

@@ -201,7 +201,8 @@ def check_gap(gap, name: str) -> tuple[float, float]:
     """The gap point of distance ``name`` as two Python floats, the origin
     when ``gap`` is None; a ValueError unless it is two finite numbers."""
     point = (0.0, 0.0) if gap is None else gap
-    point = tuple(map(real, point)) if isinstance(point, (tuple, list, np.ndarray)) else ()
+    listed = isinstance(point, (tuple, list)) or (isinstance(point, np.ndarray) and point.ndim == 1)
+    point = tuple(map(real, point)) if listed else ()
     if len(point) != 2 or not np.isfinite(point).all():
         raise ValueError(f"{name}: gap must be two finite numbers, got {gap!r}")
     return point
@@ -209,10 +210,10 @@ def check_gap(gap, name: str) -> tuple[float, float]:
 
 def on_pair(batch, name: str | None, t1, t2, *params) -> float:
     """``batch`` run on the one pair (t1, t2); with a ``name``, empty input is rejected."""
-    a, b = as_points(t1), as_points(t2)
-    if name is not None and (a.shape[0] == 0 or b.shape[0] == 0):
+    store = PointStore.pack([t1, t2])
+    if name is not None and not np.diff(store.offsets).all():
         raise ValueError(f"{name}: empty input")
-    return float(batch(PointStore.pack([a, b]), *_PAIR, *params)[0])
+    return float(batch(store, *_PAIR, *params)[0])
 
 
 def dtw(t1, t2) -> float:
@@ -283,7 +284,7 @@ def erp(t1, t2, gap_point) -> float:
     float
     """
     gap_point = check_gap(gap_point, "erp")
-    a, b = as_points(t1), as_points(t2)
-    if a.shape[0] == 0 or b.shape[0] == 0:  # numpy's sum, not the table's running sum
-        return float(_dist(np.concatenate([a, b]), np.asarray(gap_point, dtype=np.float64)).sum())
-    return on_pair(erp_batch, None, a, b, gap_point)
+    store = PointStore.pack([t1, t2])
+    if not np.diff(store.offsets).all():  # numpy's sum, not the table's running sum
+        return float(_dist(store.xy[:store.offsets[-1]], np.array(gap_point)).sum())
+    return float(erp_batch(store, *_PAIR, gap_point)[0])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from trajkit import bench
 from trajkit.bench import (BENCH_DISTANCES, random_walk_trajectories,
@@ -24,6 +25,13 @@ def test_report_covers_requested_distances():
     assert report.workers == 0
 
 
+def test_report_has_a_parallel_column_with_workers():
+    report = run_bench(n=6, points=5, seed=1, distances=("sspd",), workers=2)
+    assert report.workers == 2
+    assert set(report.timings["sspd"]) == {"serial", "parallel"}
+    assert report.timings["sspd"]["parallel"] > 0
+
+
 def test_default_distance_list_is_benchable():
     report = run_bench(n=4, points=5, seed=2)
     assert set(report.timings) == set(BENCH_DISTANCES)
@@ -34,6 +42,11 @@ def test_scaling_exponent_shape():
                                distances=("dtw",), repeats=1)
     assert set(slopes) == {"dtw"}
     assert np.isfinite(slopes["dtw"])
+
+
+def test_scaling_needs_two_sizes():
+    with pytest.raises(ValueError, match="need at least two dataset sizes"):
+        scaling_exponents(ns=(8,), distances=("dtw",), repeats=1)
 
 
 def test_scaling_times_the_sizes_in_turn(monkeypatch):

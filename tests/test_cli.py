@@ -209,13 +209,14 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("doc, reason", [
         ({"bundles": [{"count": 3}]}, "bundle 0: missing 'anchor'"),
-        ([{"anchor": [[0, 0], [1, 0]], "count": 3}],
-         "spec JSON needs to be an object with a nonempty 'bundles' list"),
+        ([{"anchor": [[0, 0], [1, 0]], "count": 3}], "expected a JSON object at the top level"),
+        ({"bundles": []}, "spec JSON needs a nonempty 'bundles' list"),
         ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": 2}, [1, 2]]},
          "bundle 1: expected an object"),
         ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": [2]}]}, "bundle 0: int() argument"),
         ({"bundles": [{"anchor": [[0, 0]], "count": 2}]}, "bundle 0: bundle anchor must be a polyline"),
-    ], ids=["no-anchor", "top-level-list", "bundle-not-object", "bad-count", "short-anchor"])
+    ], ids=["no-anchor", "top-level-list", "no-bundles", "bundle-not-object", "bad-count",
+            "short-anchor"])
     def test_malformed_synth_spec_is_a_clean_failure(self, tmp_path, capsys, doc, reason):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc), encoding="utf-8")
@@ -228,6 +229,46 @@ class TestErrorPaths:
         spec.write_text("{bundles", encoding="utf-8")
         assert main(["synth", str(spec), "-o", str(tmp_path / "ds.csv")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {spec}: invalid JSON: ")
+
+    @pytest.mark.parametrize("feature, reason", [
+        (None, "expected a JSON object at the top level"),
+        ({"geometry": {"type": "LineString", "coordinates": 5}},
+         "feature 0: coordinates must be a list"),
+        ({"geometry": {"type": "LineString", "coordinates": [[2.35, 48.85], 2.36]}},
+         "feature 0: coordinate 1 is not a lon,lat pair"),
+        ({"geometry": {"type": "LineString", "coordinates": [[2.35, 48.85], [2.36, 48.86]]},
+          "properties": [1]}, "feature 0: properties must be an object"),
+        ({"geometry": {"type": "LineString", "coordinates": [[2.35, 48.85], [2.36, "x"]]}},
+         "feature 0, coordinate 1: bad coordinate"),
+    ], ids=["top-level-list", "coordinates-number", "bare-number", "properties-list",
+            "bad-coordinate"])
+    def test_malformed_geojson_is_a_clean_failure(self, tmp_path, capsys, feature, reason):
+        raw = tmp_path / "raw.geojson"
+        doc = [] if feature is None else {"type": "FeatureCollection",
+                                          "features": [{"type": "Feature", "id": "r"} | feature]}
+        raw.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["ingest", str(raw), "--format", "geojson", "-o", str(tmp_path / "ds.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert not (tmp_path / "ds.csv").exists()
+
+    @pytest.mark.parametrize("csv_text, meta, reason", [
+        ("traj_id,x,y\na,0,0\na,1,0\n", "[]", "ds.csv.meta.json: expected a JSON object"),
+        ("traj_id,x,y\na,0,0\na,1,0\n", "{crs", "ds.csv.meta.json: invalid JSON"),
+        ("traj_id,x,y\na,0,0\na,nan,0\n", None, "line 3: bad coordinate"),
+    ], ids=["sidecar-not-an-object", "sidecar-not-json", "nan-coordinate"])
+    def test_malformed_dataset_is_a_clean_matrix_failure(self, tmp_path, capsys, csv_text, meta,
+                                                         reason):
+        (tmp_path / "ds.csv").write_text(csv_text, encoding="utf-8")
+        if meta is not None:
+            (tmp_path / "ds.csv.meta.json").write_text(meta, encoding="utf-8")
+        rc = main(["matrix", str(tmp_path / "ds.csv"), "-o", str(tmp_path / "m.trjd"),
+                   "--distance", "dtw"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert not (tmp_path / "m.trjd").exists()
 
     def test_missing_input_file_is_a_clean_failure(self, tmp_path, capsys):
         rc = main(["matrix", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.trjd"),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -48,10 +49,16 @@ class TestCsvIngest:
         ds = ingest(write(tmp_path, "d.csv", text))
         assert ds.trajectories[0].timestamps is None
 
-    def test_malformed_coordinate_names_the_line(self, tmp_path):
-        text = "traj_id,x,y\na,0.0,0.0\na,oops,0.0\n"
-        with pytest.raises(IngestError, match="line 3.*bad coordinate"):
+    @pytest.mark.parametrize("value", ["oops", "nan", "inf", "-inf", ""])
+    def test_malformed_coordinate_names_the_line(self, tmp_path, value):
+        text = f"traj_id,x,y\na,0.0,0.0\na,{value},0.0\n"
+        with pytest.raises(IngestError, match="line 3: bad coordinate: expected two finite numbers"):
             ingest(write(tmp_path, "d.csv", text))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        text = "traj_id,x,y\na,0.0,0.0\n\na,1.0,0.0\n  \nb,5.0,5.0\nb,6.0,5.0\n"
+        ds = ingest(write(tmp_path, "d.csv", text))
+        assert ds.ids == ("a", "b") and ds.provenance["rows_read"] == 4
 
     def test_short_row_names_the_line(self, tmp_path):
         text = "traj_id,x,y\na,0.0,0.0\na,1.0\n"
@@ -114,8 +121,9 @@ class TestCsvIngest:
     @pytest.mark.parametrize("text, match", [
         ("", "empty file"),
         ("traj_id,east,north\na,0,0\n", "header must name x,y or lat,lon coordinate columns"),
-        ("traj_id,x,y,t\na,0,0,0\na,1,0,noon\n", "line 3: cannot parse time 'noon'")],
-        ids=["empty", "no-coordinates", "bad-time"])
+        ("traj_id,x,y,t\na,0,0,0\na,1,0,noon\n", "line 3: cannot parse time 'noon'"),
+        ("traj_id,x,y,t\na,0,0,0\na,1,0,1e400\n", "line 3: cannot parse time '1e400'")],
+        ids=["empty", "no-coordinates", "bad-time", "infinite-time"])
     def test_unreadable_file_is_rejected(self, tmp_path, text, match):
         with pytest.raises(IngestError, match=match):
             ingest(write(tmp_path, "d.csv", text))
@@ -166,8 +174,29 @@ class TestGeojsonIngest:
         (None, "type", "Feature", "expected a GeoJSON FeatureCollection"),
         (0, "properties", {"timestamps": [0]}, "feature 0: timestamps and coordinates differ"),
         (1, "geometry", {"type": "LineString", "coordinates": [[2.4, 48.8], [2.41]]},
-         "feature 1: coordinate 1 is not a lon,lat pair")],
-        ids=["not-a-collection", "timestamps", "short-pair"])
+         "feature 1: coordinate 1 is not a lon,lat pair"),
+        (None, "features", 3, "features must be a list"),
+        (None, "features", [[1, 2]], "feature 0: must be an object"),
+        (1, "properties", ["r2"], "feature 1: properties must be an object"),
+        (1, "geometry", ["LineString"], "feature 1: geometry must be an object"),
+        (1, "geometry", {"type": "LineString", "coordinates": 5},
+         "feature 1: coordinates must be a list"),
+        (1, "geometry", {"type": "LineString", "coordinates": [[2.4, 48.8], 2.41]},
+         "feature 1: coordinate 1 is not a lon,lat pair"),
+        (0, "properties", {"timestamps": 30}, "feature 0: timestamps must be a list"),
+        (0, "id", " ", "feature 0, coordinate 0: empty trajectory id"),
+        (1, "geometry", {"type": "LineString", "coordinates": [[2.4, 48.8], [2.41, math.nan]]},
+         "feature 1, coordinate 1: bad coordinate: expected two finite numbers"),
+        (1, "geometry", {"type": "LineString", "coordinates": [[2.4, 48.8], [None, 48.81]]},
+         "feature 1, coordinate 1: bad coordinate: expected two finite numbers"),
+        (0, "properties", {"timestamps": [0, "noon"]},
+         "feature 0, coordinate 1: cannot parse time 'noon'"),
+        (0, "properties", {"timestamps": [0, True]},
+         "feature 0, coordinate 1: time must be a finite number, got True")],
+        ids=["not-a-collection", "timestamps", "short-pair", "features-number", "feature-list",
+             "properties-list", "geometry-list", "coordinates-number", "bare-number",
+             "timestamps-number", "blank-id", "nan-coordinate", "null-coordinate", "bad-time",
+             "bool-time"])
     def test_malformed_document_is_rejected(self, tmp_path, feature, key, value, match):
         doc = self.make_doc()
         (doc if feature is None else doc["features"][feature])[key] = value
@@ -175,10 +204,21 @@ class TestGeojsonIngest:
         with pytest.raises(IngestError, match=match):
             ingest(p, fmt="geojson")
 
+    def test_top_level_list_rejected(self, tmp_path):
+        p = write(tmp_path, "d.geojson", json.dumps([self.make_doc()]))
+        with pytest.raises(IngestError, match="d.geojson: expected a JSON object at the top level"):
+            ingest(p, fmt="geojson")
+
     def test_invalid_json_rejected(self, tmp_path):
         p = write(tmp_path, "d.geojson", "{nope")
         with pytest.raises(IngestError, match="invalid JSON"):
             ingest(p, fmt="geojson")
+
+    def test_times_may_be_numbers_or_iso_strings(self, tmp_path):
+        doc = self.make_doc()
+        doc["features"][0]["properties"]["timestamps"] = ["2024-05-01T10:00:00", 1714557630.5]
+        ds = ingest(write(tmp_path, "d.geojson", json.dumps(doc)), fmt="geojson")
+        assert ds.trajectories[0].timestamps.tolist() == [1714557600.0, 1714557630.5]
 
 
 class TestSynth:
@@ -221,6 +261,13 @@ class TestSynth:
         ds, labels = synth([a, b], seed=5)
         assert labels.tolist() == [0, 0, 1, 1, 1]
         assert ds.ids == ("b0t0", "b0t1", "b1t0", "b1t1", "b1t2")
+
+    def test_a_bare_bundle_is_a_list_of_one(self):
+        spec = BundleSpec(anchor=self.ANCHOR, count=3, jitter=0.2)
+        (ds, labels), (ref, ref_labels) = synth(spec, seed=4), synth([spec], seed=4)
+        assert ds.ids == ref.ids and labels.tolist() == ref_labels.tolist() == [0, 0, 0]
+        for a, b in zip(ds.trajectories, ref.trajectories):
+            assert np.array_equal(a.points, b.points)
 
     def test_anchor_validation(self):
         with pytest.raises(ValueError, match="positive length"):
@@ -288,6 +335,22 @@ class TestSaveLoad:
     def test_load_rejects_mixed_timestamp_presence(self, tmp_path):
         p = write(tmp_path, "mixed.csv", "traj_id,x,y,t\na,0,0,1\na,1,0,\nb,0,1,\nb,1,1,\n")
         with pytest.raises(IngestError, match="'a': some rows have timestamps and some do not"):
+            load_dataset(p)
+
+    def test_load_orders_rows_by_time(self, tmp_path):
+        p = write(tmp_path, "late.csv", "traj_id,x,y,t\na,1,0,2\na,0,0,1\na,2,0,3\n")
+        ds = load_dataset(p)
+        assert ds.trajectories[0].points[:, 0].tolist() == [0.0, 1.0, 2.0]
+        assert ds.trajectories[0].timestamps.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("text, match", [
+        ("{crs", "invalid JSON"), ("[1, 2]", "expected a JSON object at the top level"),
+        (b"\xff\xfe", "invalid JSON")], ids=["not-json", "not-an-object", "not-utf8"])
+    def test_load_rejects_a_bad_sidecar(self, tmp_path, text, match):
+        p = write(tmp_path, "ds.csv", "traj_id,x,y\na,0,0\na,1,0\n")
+        meta = tmp_path / "ds.csv.meta.json"
+        meta.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(IngestError, match=f"ds.csv.meta.json: {match}"):
             load_dataset(p)
 
     def test_load_refuses_geographic(self, tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from trajkit import Trajectory, project_wgs84
+from trajkit import (Trajectory, discrete_frechet, dlcss, dtw, edr, erp, frechet, frechet_candidates,
+                     frechet_feasible, hausdorff, lcss, owd, project_wgs84, sowd, spd, sspd)
 from trajkit.geometry import as_points, carrier_distances, segment_distances, segment_lengths
 
 from conftest import smooth_walk
@@ -69,9 +70,17 @@ class TestAsPoints:
         pts = as_points([])
         assert pts.shape == (0, 2)
 
-    def test_accepts_single_point(self):
-        pts = as_points([(2.0, 3.0)])
-        assert pts.shape == (1, 2)
+    @pytest.mark.parametrize("point", [[(2.0, 3.0)], (2.0, 3.0)], ids=["list-of-one", "bare-pair"])
+    def test_accepts_single_point(self, point):
+        pts = as_points(point)
+        assert pts.shape == (1, 2) and pts.tolist() == [[2.0, 3.0]]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="points must be finite"):
+            as_points([(0.0, 0.0), (value, 1.0)])
+        with pytest.raises(ValueError, match="points must be finite"):
+            as_points((0.0, value))
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
@@ -175,3 +184,20 @@ class TestProjection:
         assert x.shape == (2,)
         assert x[0] == 0.0 and y[0] == 0.0
         assert x[1] > 0 and y[1] > 0
+
+
+#: Every single-pair call, with the arguments after the two sequences.
+SINGLE_PAIR_CALLS = [(dtw, ()), (discrete_frechet, ()), (hausdorff, ()), (sspd, ()), (spd, ()),
+                     (erp, ((0.0, 0.0),)), (dlcss, (1.0,)), (edr, (1.0,)), (lcss, (1.0,)),
+                     (frechet, ()), (owd, ()), (sowd, ()), (frechet_feasible, (1.0,)),
+                     (frechet_candidates, ())]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call, args", SINGLE_PAIR_CALLS, ids=[c.__name__ for c, _ in SINGLE_PAIR_CALLS])
+def test_every_single_pair_call_needs_finite_points(call, args, value):
+    good = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+    bad = [[0.0, 0.0], [value, 1.0], [2.0, 2.0]]
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="points must be finite"):
+            call(a, b, *args)

@@ -26,7 +26,7 @@ def small_fleet(seed: int = 211, n: int = 6, points: int = 6):
 
 BAD_GAPS = [(1.0, 2.0, 3.0), (1.0,), (float("nan"), 0.0), (0.0, float("inf")), (-np.inf, 1.0),
             5.0, "12", ((1.0, 2.0), (3.0, 4.0)), (1.0, "2"), (1.0, 1j), (True, 0.0),
-            (np.bool_(False), 1.0), (10**400, 0.0)]
+            (np.bool_(False), 1.0), (10**400, 0.0), np.array(5.0)]
 BAD_EPS = [None, 0.0, -1.0, np.nan, -np.inf, True, "1"]
 BAD_DENSITIES = [0.0, -1.0, np.nan, np.inf, -np.inf, True, "2"]
 

@@ -182,6 +182,17 @@ class TestOwd:
         with pytest.raises(ValueError, match="zero length"):
             owd([(1.0, 1.0), (1.0, 1.0)], L_SHAPE)
 
+    def test_rejects_too_many_samples(self):
+        with pytest.raises(ValueError, match="owd: too many samples at 1e\\+300 per unit length"):
+            owd(L_SHAPE, L_SHAPE, samples_per_unit=1e300)
+
+
+@pytest.mark.parametrize("call", [frechet_feasible, frechet_candidates, owd])
+def test_a_one_point_walk_has_no_carrier(call):
+    args = (1.0,) if call is frechet_feasible else ()
+    with pytest.raises(ValueError, match=r"needs trajectories with at least 2 points"):
+        call([(0.0, 0.0)], L_SHAPE, *args)
+
 
 @pytest.mark.parametrize("func", [owd, sowd])
 @pytest.mark.parametrize("density", [np.nan, np.inf, -np.inf, 0.0])
