@@ -109,8 +109,10 @@ def run_bench(
     workers : int
         Also record a parallel column with this many workers (0 skips it).
     repeats : int
-        Take the best of this many runs per cell.
+        Take the best of this many runs per cell; at least 1.
     """
+    if repeats < 1:
+        raise ValueError("run_bench: repeats must be >= 1")
     trajectories = random_walk_trajectories(n, points, seed)
     timings: dict = {}
     for name in distances:
@@ -139,6 +141,8 @@ def scaling_exponents(
     """
     if len(ns) < 2:
         raise ValueError("scaling_exponents: need at least two dataset sizes")
+    if repeats < 1:
+        raise ValueError("scaling_exponents: repeats must be >= 1")
     datasets = {n: random_walk_trajectories(n, points, seed) for n in ns}
     out = {}
     log_n = np.log(np.array(ns, dtype=np.float64))

@@ -134,8 +134,9 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     cluster_id = list(range(n))
     # nn[r] is the lowest column holding row r's minimum and nd[r] that
     # minimum, so argmin(nd) and then nn pick the pair i < j that a row-major
-    # argmin over the symmetric matrix would. A retired row or column holds
-    # inf, and a retired row has nn = -1, which no update or rescan matches.
+    # argmin over the symmetric matrix would. A retired column holds inf, and
+    # a retired row has nn = -1 and nd = inf, so no update, rescan or argmin
+    # reads it.
     nn = work.argmin(axis=1)
     nd = work.min(axis=1)
     steps: list[MergeStep] = []
@@ -157,7 +158,6 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
         new[i] = new[j] = np.inf
         work[i] = new
         work[:, i] = new
-        work[j] = np.inf
         work[:, j] = np.inf
         steps.append(MergeStep(cluster_id[i], cluster_id[j], height, int(si + sj)))
         sizes[i] += sj

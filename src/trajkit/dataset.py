@@ -129,7 +129,9 @@ def _read_rows(path: Path) -> tuple[bool, list[tuple[str, float, float, float | 
             raise IngestError(f"{path}: header must name x,y or lat,lon coordinate columns")
         t_col = next((cols.index(c) for c in ("t", "time", "timestamp") if c in cols), None)
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        end = reader.line_num  # file lines read so far: a quoted field may span several
+        for row in reader:
+            line_no, end = end + 1, reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(cols):
@@ -231,7 +233,8 @@ def ingest(
         point has no carrier).
     start_box, end_box : (min_x, min_y, max_x, max_y), optional
         Keep only trajectories whose first/last point falls inside the
-        box, in input coordinates (lon, lat order for geographic input).
+        box, in input coordinates (lon, lat order for geographic input);
+        four finite numbers.
 
     Raises
     ------
@@ -240,6 +243,9 @@ def ingest(
         coordinate), repeated timestamps within an id, a malformed GeoJSON
         document, or an empty post-filter result.
     """
+    for name, box in (("start_box", start_box), ("end_box", end_box)):
+        if box is not None and (len(box) != 4 or not all(math.isfinite(real(v)) for v in box)):
+            raise ValueError(f"ingest: {name} must be four finite numbers, got {box!r}")
     path = Path(path)
     if fmt == "csv":
         geographic, rows = _read_rows(path)
@@ -318,7 +324,8 @@ class BundleSpec:
     count : int
         Trajectories to generate.
     jitter : float
-        Standard deviation of the Gaussian noise added to every sample.
+        Standard deviation of the Gaussian noise added to every sample;
+        finite and >= 0.
     points : (int, int)
         Inclusive range of per-trajectory sample counts (minimum 2).
     """
@@ -341,8 +348,8 @@ class BundleSpec:
         object.__setattr__(self, "anchor", anchor)
         if self.count < 1:
             raise ValueError("bundle count must be >= 1")
-        if self.jitter < 0:
-            raise ValueError("bundle jitter must be >= 0")
+        if not (math.isfinite(real(self.jitter)) and self.jitter >= 0):
+            raise ValueError(f"bundle jitter must be a finite number >= 0, got {self.jitter!r}")
         lo, hi = self.points
         if not (2 <= lo <= hi):
             raise ValueError("bundle points range must satisfy 2 <= lo <= hi")
@@ -430,9 +437,10 @@ def read_json(path: str | Path) -> dict:
 
 
 def write_json(path: str | Path, doc) -> None:
-    """Write ``doc`` as UTF-8 JSON, indented by 2, with a final newline.
-    Every JSON file that trajkit writes goes through here."""
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write ``doc`` as UTF-8 JSON, indented by 2, with a final newline; a
+    ValueError, before the file opens, if it holds NaN or an infinity, which
+    JSON has no number for. Every JSON file that trajkit writes goes through here."""
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:

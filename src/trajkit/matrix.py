@@ -8,8 +8,10 @@ CSV export mirrors the full symmetric matrix for interoperability.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
+import signal
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,22 +209,15 @@ def _eval_range(job: tuple, bounds: tuple[int, int]) -> tuple[int, np.ndarray, l
 
 
 def _init_worker(job: tuple) -> None:
+    # Where the parent raises KeyboardInterrupt on SIGINT, a worker ends on
+    # it: a terminal Ctrl-C then stops the workers with the parent.
+    if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
     _WORKER["job"] = job
 
 
 def _eval_in_worker(bounds: tuple[int, int]) -> tuple[int, np.ndarray, list]:
     return _eval_range(_WORKER["job"], bounds)
-
-
-def _drain(results) -> None:
-    """Read what is left of a pool's result stream, errors included."""
-    while True:
-        try:
-            next(results)
-        except StopIteration:
-            return
-        except Exception:
-            pass
 
 
 def _square(flat: np.ndarray, n: int) -> np.ndarray:
@@ -260,7 +255,8 @@ def compute_matrix(
     MatrixComputationError
         If any pairwise evaluation fails. Every pair is still evaluated;
         the error counts the failures and names the first ones, in row-major
-        pair order, so the report is the same for any worker count.
+        pair order, so the report is the same for any worker count. Also
+        raised when a worker process dies, e.g. killed by the system.
     """
     if isinstance(spec, str):
         spec = DistanceSpec(spec)
@@ -287,25 +283,22 @@ def compute_matrix(
     ranges = [(s, min(s + size, npairs)) for s in range(0, npairs, size)]
     flat = np.zeros(npairs)
     failures = []
-    pool = None if workers == 1 or npairs == 0 else multiprocessing.get_context("fork").Pool(
-        workers, initializer=_init_worker, initargs=(job,))
-    results = (map(functools.partial(_eval_range, job), ranges) if pool is None
-               else pool.imap_unordered(_eval_in_worker, ranges))
+    executor, broken = contextlib.nullcontext(), ()  # a serial run has no pool to break
+    if workers > 1 and npairs > 0:
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       _init_worker, (job,))
+        broken = BrokenProcessPool
     try:
-        for start, values, failed in results:
-            flat[start:start + len(values)] = values
-            failures += failed
-    except BaseException as exc:
-        # A worker that terminate() kills while it writes a result holds the
-        # result queue's lock for ever, so only an error ends the pool that way.
-        if pool is not None:
-            if isinstance(exc, Exception):  # an interrupt does not wait for the rest
-                _drain(results)
-            pool.terminate()
-        raise
-    if pool is not None:
-        pool.close()
-        pool.join()
+        with executor as pool:
+            # Left unnamed, the result stream closes as soon as the loop body
+            # raises, which cancels the ranges not yet handed to a worker.
+            for start, values, failed in (map(functools.partial(_eval_range, job), ranges)
+                                          if pool is None else pool.map(_eval_in_worker, ranges)):
+                flat[start:start + len(values)] = values
+                failures += failed
+    except broken as exc:
+        raise MatrixComputationError(f"{spec.render()}: a worker process died: {exc}") from None
     if failures:
         failures.sort()
         named = "; ".join(f"({ids[i]!r}, {ids[j]!r}): {msg}"

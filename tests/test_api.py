@@ -37,13 +37,38 @@ def test_matrix_module_names_are_exactly_the_pinned_set():
         "MatrixFormatError", "compute_matrix", "load_matrix", "save_matrix", "save_matrix_csv"]
 
 
-def test_the_library_never_loads_scipy():
-    # numpy is the only runtime dependency; SciPy is for the tests alone.
-    code = "import sys, trajkit, trajkit.cli, trajkit.bench; print('scipy' in sys.modules)"
+def loaded_by_a_fresh_import(module: str) -> bool:
+    code = f"import sys, trajkit, trajkit.cli, trajkit.bench; print({module!r} in sys.modules)"
     src = Path(trajkit.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_the_library_never_loads_scipy():
+    # numpy is the only runtime dependency; SciPy is for the tests alone.
+    assert not loaded_by_a_fresh_import("scipy")
+
+
+def test_only_a_pool_job_imports_the_process_pool():
+    assert not loaded_by_a_fresh_import("concurrent.futures.process")
+
+
+def sources():
+    """(file name, syntax tree) of each module of trajkit."""
+    for path in sorted(Path(trajkit.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def sites(tree: ast.AST, name_of, function: str = "<module>"):
+    """(name, enclosing function) for each node under ``tree`` that
+    ``name_of`` gives a name; it gives None for every other node."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        name = name_of(node)
+        if name is not None:
+            yield name, function
+        yield from sites(node, name_of, inner)
 
 
 #: The one function that may call each json/csv reader and writer.
@@ -52,23 +77,34 @@ FORMAT_SITES = {"json.loads": "read_json", "json.dumps": "write_json",
 FORMAT_CALLS = {"json.load", "json.loads", "json.dump", "json.dumps", "csv.reader", "csv.writer"}
 
 
-def format_calls(tree: ast.AST, function: str = "<module>"):
-    """(call, enclosing function) for each call of FORMAT_CALLS under ``tree``."""
-    for node in ast.iter_child_nodes(tree):
-        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and f"{node.func.value.id}.{node.func.attr}" in FORMAT_CALLS):
-            yield f"{node.func.value.id}.{node.func.attr}", function
-        yield from format_calls(node, inner)
+def format_call(node: ast.AST) -> str | None:
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and f"{node.func.value.id}.{node.func.attr}" in FORMAT_CALLS):
+        return f"{node.func.value.id}.{node.func.attr}"
+    return None
 
 
 def test_each_file_format_has_one_reader_and_one_writer():
-    sites, imported = set(), []
-    for path in sorted(Path(trajkit.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        sites |= {(path.name, call, function) for call, function in format_calls(tree)}
-        imported += [(path.name, node.module) for node in ast.walk(tree)
+    found, imported = set(), []
+    for name, tree in sources():
+        found |= {(name, call, function) for call, function in sites(tree, format_call)}
+        imported += [(name, node.module) for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module in ("json", "csv")]
-    assert sites == {("dataset.py", call, function) for call, function in FORMAT_SITES.items()}
+    assert found == {("dataset.py", call, function) for call, function in FORMAT_SITES.items()}
     assert imported == []  # a bare loads() or writer() would slip past the walk
+
+
+#: Names that start worker processes, whether named, called or imported.
+PROCESS_NAMES = {"ProcessPoolExecutor", "Pool", "Process", "fork"}
+
+
+def process_name(node: ast.AST) -> str | None:
+    name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None)
+    return name if name in PROCESS_NAMES else None
+
+
+def test_only_compute_matrix_starts_worker_processes():
+    found = {(name, function) for name, tree in sources() for _, function in sites(tree, process_name)}
+    assert found == {("matrix.py", "compute_matrix")}

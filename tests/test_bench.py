@@ -56,3 +56,9 @@ def test_scaling_times_the_sizes_in_turn(monkeypatch):
     monkeypatch.setattr(bench, "compute_matrix", lambda trajs, spec, workers: sizes.append(len(trajs)))
     scaling_exponents(ns=(4, 8, 16), points=6, seed=0, distances=("dtw",), repeats=3)
     assert sizes == [4, 8, 16] * 3
+
+
+@pytest.mark.parametrize("measure", [run_bench, scaling_exponents])
+def test_a_measurement_needs_a_repeat(measure):
+    with pytest.raises(ValueError, match=f"{measure.__name__}: repeats must be >= 1"):
+        measure(distances=("dtw",), repeats=0)

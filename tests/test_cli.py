@@ -156,6 +156,12 @@ class TestErrorPaths:
         assert rc == 1
         assert "eps_d" in capsys.readouterr().err
 
+    def test_bench_without_repeats_is_a_clean_failure(self, pipeline, capsys):
+        rc = main(["bench", "-o", str(pipeline["bench"]), "--n", "4", "--repeats", "0"])
+        assert rc == 1
+        assert "repeats must be >= 1" in capsys.readouterr().err
+        assert not pipeline["bench"].exists()
+
     def test_unknown_distance_is_a_clean_failure(self, pipeline, capsys):
         main(["synth", str(pipeline["spec"]), "-o", str(pipeline["dataset"]), "--seed", "1"])
         rc = main(["matrix", str(pipeline["dataset"]), "-o", str(pipeline["matrix"]),

@@ -6,6 +6,7 @@ import pytest
 
 from trajkit import (BundleSpec, IngestError, Trajectory, TrajectoryDataset,
                      ingest, load_dataset, save_dataset, sspd, synth)
+from trajkit.dataset import write_json
 
 
 PLANAR_CSV = """traj_id,x,y,t
@@ -60,6 +61,13 @@ class TestCsvIngest:
         ds = ingest(write(tmp_path, "d.csv", text))
         assert ds.ids == ("a", "b") and ds.provenance["rows_read"] == 4
 
+    @pytest.mark.parametrize("read", [ingest, load_dataset])
+    def test_a_line_after_a_multi_line_id_is_named_by_its_file_line(self, tmp_path, read):
+        # The two "two\nlines" records take file lines 2-5.
+        text = 'traj_id,x,y\n"two\nlines",0,0\n"two\nlines",1,1\nb,0,0\nb,oops,1\n'
+        with pytest.raises(IngestError, match="line 7: bad coordinate"):
+            read(write(tmp_path, "d.csv", text))
+
     def test_short_row_names_the_line(self, tmp_path):
         text = "traj_id,x,y\na,0.0,0.0\na,1.0\n"
         with pytest.raises(IngestError, match="line 3.*expected 3 fields"):
@@ -113,6 +121,15 @@ class TestCsvIngest:
         ds = ingest(write(tmp_path, "d.csv", PLANAR_CSV),
                     end_box=(5.5, 4.5, 6.5, 5.5))
         assert ds.ids == ("b",)
+
+    @pytest.mark.parametrize("boxes", [
+        {"start_box": (-math.inf, -math.inf, math.inf, math.inf)},
+        {"end_box": (0.0, 0.0, math.nan, 1.0)}, {"start_box": (0.0, 0.0, 1.0)},
+        {"end_box": (0.0, 0.0, "1", 1.0)}])
+    def test_boxes_must_be_four_finite_numbers(self, tmp_path, boxes):
+        (name, box), = boxes.items()
+        with pytest.raises(ValueError, match=f"ingest: {name} must be four finite numbers"):
+            ingest(write(tmp_path, "d.csv", PLANAR_CSV), **boxes)
 
     def test_empty_result_reports_drop_counts(self, tmp_path):
         with pytest.raises(IngestError, match="no trajectories left.*too_short"):
@@ -279,6 +296,11 @@ class TestSynth:
         with pytest.raises(ValueError, match="points range"):
             BundleSpec(anchor=self.ANCHOR, count=1, points=(1, 5))
 
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf, "0.1"])
+    def test_jitter_must_be_finite_and_not_negative(self, jitter):
+        with pytest.raises(ValueError, match="bundle jitter must be a finite number >= 0"):
+            BundleSpec(anchor=self.ANCHOR, count=2, jitter=jitter)
+
     def test_non_finite_anchor_and_no_bundles_are_rejected(self):
         with pytest.raises(ValueError, match="bundle anchor must be finite"):
             BundleSpec(anchor=np.array([(0.0, 0.0), (np.inf, 0.0)]), count=1)
@@ -287,6 +309,12 @@ class TestSynth:
 
 
 class TestSaveLoad:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_no_json_file_holds_nan_or_infinity(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(tmp_path / "doc.json", {"crs": {"kind": "planar"}, "jitter": [0.5, value]})
+        assert not (tmp_path / "doc.json").exists()
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         spec = BundleSpec(anchor=np.array([(0.0, 0.0), (3.0, 7.0)]), count=3, jitter=0.5)
         ds, _ = synth([spec], seed=11)

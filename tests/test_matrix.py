@@ -1,9 +1,13 @@
 import csv
-import multiprocessing.pool
+import multiprocessing
 import os
+import signal
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,71 @@ from oracles import (scalar_discrete_frechet, scalar_dlcss, scalar_dtw, scalar_e
 def small_fleet(seed: int = 211, n: int = 6, points: int = 6):
     rng = np.random.default_rng(seed)
     return [walk_trajectory(rng, points, f"t{k}") for k in range(n)]
+
+
+#: A worker SIGKILLs itself in the first range of a 2-worker job.
+KILLED_WORKER = """
+import multiprocessing, os, signal
+from trajkit import MatrixComputationError, matrix
+from trajkit.bench import random_walk_trajectories
+eval_range = matrix._eval_range
+
+def dying(job, bounds):  # fork carries it into the workers
+    if bounds[0] == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return eval_range(job, bounds)
+
+matrix._eval_range = dying
+try:
+    matrix.compute_matrix(random_walk_trajectories(60, 10, 0), "sspd", workers=2)
+except MatrixComputationError as exc:
+    print(exc)
+print(multiprocessing.active_children())
+"""
+
+#: A 2-worker job of 17 ranges that sleep 0.7 s each, so it takes over 5 s.
+SLOW_JOB = """
+import multiprocessing, time
+from trajkit import matrix
+from trajkit.bench import random_walk_trajectories
+eval_range = matrix._eval_range
+
+def slow(job, bounds):
+    time.sleep(0.7)
+    return eval_range(job, bounds)
+
+matrix._eval_range = slow
+fleet = random_walk_trajectories(40, 5, 0)
+print("started", flush=True)
+try:
+    matrix.compute_matrix(fleet, "dtw", workers=2)
+except KeyboardInterrupt:
+    print("interrupted", multiprocessing.active_children())
+"""
+
+
+def job_in_own_session(code: str) -> subprocess.Popen:
+    """A child interpreter running ``code`` as the leader of a new process
+    group, so that a signal to the group reaches its workers and no test."""
+    src = Path(matrix.__file__).resolve().parents[1]
+    return subprocess.Popen([sys.executable, "-c", code], start_new_session=True, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def ended_within(proc: subprocess.Popen, timeout: float) -> str:
+    """What ``proc`` printed, once it and every process of its group have
+    ended within ``timeout`` seconds; else the group is killed and the test fails."""
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"the job was still running after {timeout} s")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert proc.returncode == 0, err
+    return out
 
 
 BAD_GAPS = [(1.0, 2.0, 3.0), (1.0,), (float("nan"), 0.0), (0.0, float("inf")), (-np.inf, 1.0),
@@ -317,17 +386,23 @@ class TestComputeMatrix:
         with pytest.raises(MatrixComputationError, match="'stuck'"):
             compute_matrix(fleet + [stuck], "sowd", workers=2)
 
-    def test_a_clean_pool_job_closes_its_pool_instead_of_terminating_it(self, monkeypatch):
-        # terminate() can hang on a worker that is still writing a result.
-        calls = []
-        terminate = multiprocessing.pool.Pool.terminate
-        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate",
-                            lambda pool: calls.append(pool) or terminate(pool))
+    def test_a_clean_pool_job_closes_its_pool_instead_of_terminating_it(self):
         fleet = small_fleet(n=8)
         parallel = compute_matrix(fleet, "sspd", workers=2)
-        assert calls == []
         assert multiprocessing.active_children() == []
         assert parallel.values.tobytes() == compute_matrix(fleet, "sspd").values.tobytes()
+
+    def test_a_worker_that_dies_fails_the_job(self):
+        out = ended_within(job_in_own_session(KILLED_WORKER), timeout=10.0)
+        assert out.startswith("sspd: a worker process died: "), out
+        assert out.endswith("\n[]\n"), out
+
+    def test_a_ctrl_c_ends_the_workers_with_the_job(self):
+        proc = job_in_own_session(SLOW_JOB)
+        assert proc.stdout.readline() == "started\n"
+        time.sleep(2.0)
+        os.killpg(proc.pid, signal.SIGINT)  # as a terminal's Ctrl-C does
+        assert ended_within(proc, timeout=3.0) == "interrupted []\n"
 
     def test_pool_ranges_hold_at_most_16_dp_batches(self, monkeypatch):
         # A range's memory grows with its size, so no range may grow with n^2.
