@@ -135,23 +135,32 @@ def scaling_exponents(
 
     A full matrix over n trajectories covers n(n-1)/2 pairs, so the slope
     should sit near 2 when per-pair cost is independent of n. Each repeat
-    times every size once, in turn, and each size keeps its best time over
-    the repeats, so a host that slows down or speeds up during the
-    measurement affects all sizes alike rather than tilting the slope.
+    visits the sizes up and back down, and each visit gives its size about
+    the same wall time: size n runs ``round((max(ns) / n) ** 2)`` matrices
+    in a row. A size's time is its mean over all its runs. The up-and-down
+    order cancels a steady drift of the host's speed within a repeat, and
+    equal wall times let a burst of load reach every size about equally,
+    rather than tilting the slope; a best time would favour the short
+    timings, which slip between bursts.
     """
     if len(ns) < 2:
         raise ValueError("scaling_exponents: need at least two dataset sizes")
     if repeats < 1:
         raise ValueError("scaling_exponents: repeats must be >= 1")
     datasets = {n: random_walk_trajectories(n, points, seed) for n in ns}
+    runs = np.array([max(1, round((max(ns) / n) ** 2)) for n in ns])
     out = {}
     log_n = np.log(np.array(ns, dtype=np.float64))
     for name in distances:
         spec = _spec(name)
-        times = np.full(len(ns), np.inf)
+        compute_matrix(datasets[ns[0]], spec, workers=1)  # untimed: a first call pays one-off costs
+        total = np.zeros(len(ns))
         for _ in range(repeats):
-            for pos, n in enumerate(ns):
-                times[pos] = min(times[pos], _time_matrix(datasets[n], spec, 1, 1))
-        slope = np.polyfit(log_n, np.log(times), 1)[0]
+            for pos in [*range(len(ns)), *reversed(range(len(ns)))]:
+                t0 = time.perf_counter()
+                for _ in range(runs[pos]):
+                    compute_matrix(datasets[ns[pos]], spec, workers=1)
+                total[pos] += time.perf_counter() - t0
+        slope = np.polyfit(log_n, np.log(total / runs), 1)[0]
         out[name] = float(slope)
     return out

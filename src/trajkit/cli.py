@@ -49,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=Path)
     p.add_argument("-o", "--output", type=Path, required=True, help="canonical dataset CSV to write")
     p.add_argument("--format", choices=("csv", "geojson"), default="csv")
-    p.add_argument("--wgs84", action="store_true",
-                   help="treat coordinates as lat/lon and project to planar metres")
     p.add_argument("--min-points", type=int, default=2)
     box = _numbers("min_x,min_y,max_x,max_y")
     p.add_argument("--start-box", type=box, default=None, metavar="X0,Y0,X1,Y1",
@@ -112,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    ds = ingest(args.input, fmt=args.format, wgs84=args.wgs84, min_points=args.min_points,
+    ds = ingest(args.input, fmt=args.format, min_points=args.min_points,
                 start_box=args.start_box, end_box=args.end_box)
     save_dataset(ds, args.output)
     dropped = ds.provenance.get("dropped", {})
@@ -131,8 +129,8 @@ def _bundles(path: Path) -> list[BundleSpec]:
         try:
             if not isinstance(b, dict):
                 raise TypeError("expected an object with 'anchor' and 'count'")
-            bundles.append(BundleSpec(np.asarray(b["anchor"], dtype=np.float64), int(b["count"]),
-                                      float(b.get("jitter", 0.0)), tuple(b.get("points", (8, 12)))))
+            bundles.append(BundleSpec(b["anchor"], b["count"], b.get("jitter", 0.0),
+                                      b.get("points", (8, 12))))
         except KeyError as exc:
             raise ValueError(f"{path}: bundle {k}: missing {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Trajectory, project_wgs84, segment_lengths
-from .warping import real
+from .warping import integer, real
 
 __all__ = [
     "BundleSpec",
@@ -108,7 +108,8 @@ def _record(where: str, tid, a, b, t) -> tuple[str, float, float, float | None]:
 
 
 def _read_rows(path: Path) -> tuple[bool, list[tuple[str, float, float, float | None]]]:
-    """Parse a trajectory CSV. Returns (is_geographic, rows)."""
+    """Parse a trajectory CSV. Returns (is_geographic, rows); a geographic
+    row is (id, lon, lat, t)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -124,7 +125,7 @@ def _read_rows(path: Path) -> tuple[bool, list[tuple[str, float, float, float | 
             a_col, b_col = cols.index("x"), cols.index("y")
         elif "lat" in cols and "lon" in cols:
             geographic = True
-            a_col, b_col = cols.index("lat"), cols.index("lon")
+            a_col, b_col = cols.index("lon"), cols.index("lat")
         else:
             raise IngestError(f"{path}: header must name x,y or lat,lon coordinate columns")
         t_col = next((cols.index(c) for c in ("t", "time", "timestamp") if c in cols), None)
@@ -153,8 +154,8 @@ def _member(obj: dict, key: str, kind: type, where: str, default):
 
 
 def _read_geojson(path: Path) -> list[tuple[str, float, float, float | None]]:
-    """LineString features of a GeoJSON FeatureCollection as flat rows
-    (lat, lon order, matching the geographic CSV convention)."""
+    """LineString features of a GeoJSON FeatureCollection as flat
+    (id, lon, lat, t) rows."""
     doc = read_json(path)
     if doc.get("type") != "FeatureCollection":
         raise IngestError(f"{path}: expected a GeoJSON FeatureCollection")
@@ -176,7 +177,7 @@ def _read_geojson(path: Path) -> list[tuple[str, float, float, float | None]]:
         for p, pair in enumerate(coords):
             if not isinstance(pair, list) or len(pair) < 2:
                 raise IngestError(f"feature {k}: coordinate {p} is not a lon,lat pair")
-            rows.append(_record(f"feature {k}, coordinate {p}", tid, pair[1], pair[0],
+            rows.append(_record(f"feature {k}, coordinate {p}", tid, pair[0], pair[1],
                                 None if times is None else times[p]))
     return rows
 
@@ -211,7 +212,6 @@ def _in_box(point: np.ndarray, box: tuple[float, float, float, float]) -> bool:
 def ingest(
     path: str | Path,
     fmt: str = "csv",
-    wgs84: bool = False,
     min_points: int = 2,
     start_box: tuple[float, float, float, float] | None = None,
     end_box: tuple[float, float, float, float] | None = None,
@@ -223,11 +223,9 @@ def ingest(
     path : str or Path
     fmt : {"csv", "geojson"}
         CSV needs columns ``traj_id,x,y[,t]`` (planar) or
-        ``traj_id,lat,lon[,t]`` (with ``wgs84=True``); GeoJSON
-        LineStrings are always geographic.
-    wgs84 : bool
-        Project geographic coordinates to local planar metres about the
-        dataset centroid. Required for lat/lon CSVs.
+        ``traj_id,lat,lon[,t]`` (geographic, in any column order);
+        GeoJSON LineStrings are always geographic. Geographic input is
+        projected to local planar metres about the dataset centroid.
     min_points : int
         Trajectories with fewer points are dropped (floor of 2: a single
         point has no carrier).
@@ -243,19 +241,16 @@ def ingest(
         coordinate), repeated timestamps within an id, a malformed GeoJSON
         document, or an empty post-filter result.
     """
+    if integer(min_points) is None:
+        raise ValueError(f"ingest: min_points must be an int, got {min_points!r}")
     for name, box in (("start_box", start_box), ("end_box", end_box)):
         if box is not None and (len(box) != 4 or not all(math.isfinite(real(v)) for v in box)):
             raise ValueError(f"ingest: {name} must be four finite numbers, got {box!r}")
     path = Path(path)
     if fmt == "csv":
         geographic, rows = _read_rows(path)
-        if geographic and not wgs84:
-            raise IngestError(f"{path}: lat/lon columns found; pass wgs84=True to project them")
-        if not geographic and wgs84:
-            raise IngestError(f"{path}: wgs84=True needs lat/lon columns, found x,y")
     elif fmt == "geojson":
-        rows = _read_geojson(path)
-        geographic, wgs84 = True, True
+        geographic, rows = True, _read_geojson(path)
     else:
         raise ValueError(f"unknown format {fmt!r}; expected csv or geojson")
 
@@ -267,14 +262,10 @@ def ingest(
         if pts.shape[0] < min_points:
             dropped["too_short"] += 1
             continue
-        # Box filters run in input coordinates; geographic boxes are
-        # (min_lon, min_lat, max_lon, max_lat).
-        first = pts[0][::-1] if geographic else pts[0]
-        last = pts[-1][::-1] if geographic else pts[-1]
-        if start_box is not None and not _in_box(first, start_box):
+        if start_box is not None and not _in_box(pts[0], start_box):
             dropped["start_box"] += 1
             continue
-        if end_box is not None and not _in_box(last, end_box):
+        if end_box is not None and not _in_box(pts[-1], end_box):
             dropped["end_box"] += 1
             continue
         kept.append((tid, pts, ts))
@@ -285,12 +276,12 @@ def ingest(
 
     if geographic:
         all_pts = np.concatenate([pts for _, pts, _ in kept])
-        origin_lat = float(all_pts[:, 0].mean())
-        origin_lon = float(all_pts[:, 1].mean())
+        origin_lon = float(all_pts[:, 0].mean())
+        origin_lat = float(all_pts[:, 1].mean())
         crs = {"kind": "projected-wgs84", "origin_lat": origin_lat, "origin_lon": origin_lon}
         trajectories = []
         for tid, pts, ts in kept:
-            x, y = project_wgs84(pts[:, 0], pts[:, 1], origin_lat, origin_lon)
+            x, y = project_wgs84(pts[:, 1], pts[:, 0], origin_lat, origin_lon)
             trajectories.append(Trajectory(tid, np.column_stack([x, y]), ts))
     else:
         crs = {"kind": "planar"}
@@ -299,7 +290,7 @@ def ingest(
     provenance = {
         "source": str(path),
         "format": fmt,
-        "wgs84": bool(wgs84),
+        "wgs84": geographic,
         "min_points": min_points,
         "start_box": list(start_box) if start_box else None,
         "end_box": list(end_box) if end_box else None,
@@ -322,12 +313,15 @@ class BundleSpec:
     anchor : array-like of shape (k, 2)
         Polyline with positive total length that the bundle follows.
     count : int
-        Trajectories to generate.
+        Trajectories to generate; >= 1.
     jitter : float
         Standard deviation of the Gaussian noise added to every sample;
         finite and >= 0.
     points : (int, int)
         Inclusive range of per-trajectory sample counts (minimum 2).
+
+    A bool or a float is not an int here; the spec stores ``count`` and
+    ``points`` as Python ints and ``jitter`` as a Python float.
     """
 
     anchor: np.ndarray
@@ -346,13 +340,19 @@ class BundleSpec:
             raise ValueError("bundle anchor must have positive length")
         anchor.setflags(write=False)
         object.__setattr__(self, "anchor", anchor)
-        if self.count < 1:
-            raise ValueError("bundle count must be >= 1")
-        if not (math.isfinite(real(self.jitter)) and self.jitter >= 0):
+        count = integer(self.count)
+        if count is None or count < 1:
+            raise ValueError(f"bundle count must be an int >= 1, got {self.count!r}")
+        jitter = real(self.jitter)
+        if not (math.isfinite(jitter) and jitter >= 0):
             raise ValueError(f"bundle jitter must be a finite number >= 0, got {self.jitter!r}")
-        lo, hi = self.points
-        if not (2 <= lo <= hi):
-            raise ValueError("bundle points range must satisfy 2 <= lo <= hi")
+        points = tuple(map(integer, self.points)) if np.iterable(self.points) else ()
+        if len(points) != 2 or None in points or not 2 <= points[0] <= points[1]:
+            raise ValueError(f"bundle points range must be two ints with 2 <= lo <= hi, "
+                             f"got {self.points!r}")
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "jitter", jitter)
+        object.__setattr__(self, "points", points)
 
 
 def _along_anchor(anchor: np.ndarray, s: np.ndarray) -> np.ndarray:

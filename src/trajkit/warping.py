@@ -186,6 +186,13 @@ def real(value) -> float:
         return np.nan
 
 
+def integer(value) -> int | None:
+    """``value`` as a Python int if it is an int, numpy's included; else
+    None, for a bool too."""
+    number = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return int(value) if number else None
+
+
 def check_eps_d(eps_d, name: str) -> float:
     """``eps_d`` as a Python float if it is a matching threshold for distance ``name``:
     positive, infinity included (it matches every pair of points); else a ValueError."""

@@ -1,5 +1,6 @@
 """The public names of trajkit: additions and removals show up here as a diff."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import trajkit
 import trajkit.matrix
+from trajkit.cli import _build_parser
 
 PUBLIC = {
     "APResult", "BundleSpec", "ClusterAssignment", "CriteriaResult", "DISTANCE_NAMES",
@@ -35,6 +37,28 @@ def test_matrix_module_names_are_exactly_the_pinned_set():
     assert sorted(trajkit.matrix.__all__) == [
         "DISTANCE_NAMES", "DistanceMatrix", "DistanceSpec", "MatrixComputationError",
         "MatrixFormatError", "compute_matrix", "load_matrix", "save_matrix", "save_matrix_csv"]
+
+
+#: The options of each trajkit subcommand, --help aside.
+CLI_OPTIONS = {
+    "ingest": ["--end-box", "--format", "--min-points", "--output", "--start-box", "-o"],
+    "synth": ["--labels", "--output", "--seed", "-o"],
+    "matrix": ["--csv", "--distance", "--eps-d", "--gap", "--output", "--owd-density", "--workers",
+               "-o"],
+    "cluster": ["--convergence-iter", "--damping", "--k", "--linkage", "--max-iter", "--method",
+                "--output", "--preference", "-o"],
+    "criteria": ["--k-max", "--k-min", "--linkage", "--output", "-o"],
+    "bench": ["--distances", "--n", "--output", "--points", "--repeats", "--seed", "--workers", "-o"],
+}
+
+
+def test_cli_options_are_exactly_the_pinned_set():
+    parser = _build_parser()
+    commands, = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: sorted(option for action in sub._actions
+                         if not isinstance(action, argparse._HelpAction)
+                         for option in action.option_strings)
+            for name, sub in commands.items()} == CLI_OPTIONS
 
 
 def loaded_by_a_fresh_import(module: str) -> bool:

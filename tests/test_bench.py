@@ -50,12 +50,13 @@ def test_scaling_needs_two_sizes():
 
 
 def test_scaling_times_the_sizes_in_turn(monkeypatch):
-    # Each repeat visits every size once, so drift of the host's speed
-    # during the measurement reaches all sizes alike.
+    # After one untimed call, each repeat visits every size up and back down,
+    # each visit (16 / n)² runs of size n, about the same wall time, so drift
+    # or bursts of the host's load during the measurement reach all sizes alike.
     sizes = []
     monkeypatch.setattr(bench, "compute_matrix", lambda trajs, spec, workers: sizes.append(len(trajs)))
     scaling_exponents(ns=(4, 8, 16), points=6, seed=0, distances=("dtw",), repeats=3)
-    assert sizes == [4, 8, 16] * 3
+    assert sizes == [4] + ([4] * 16 + [8] * 4 + [16] + [16] + [8] * 4 + [4] * 16) * 3
 
 
 @pytest.mark.parametrize("measure", [run_bench, scaling_exponents])

@@ -113,10 +113,20 @@ class TestPipeline:
                        "v2,48.80,2.40\nv2,48.81,2.41\nshort,48.0,2.0\n",
                        encoding="utf-8")
         out = tmp_path / "ds.csv"
-        assert main(["ingest", str(raw), "-o", str(out), "--wgs84"]) == 0
+        assert main(["ingest", str(raw), "-o", str(out)]) == 0
         ds = load_dataset(out)
         assert ds.ids == ("v1", "v2")
+        assert ds.crs["kind"] == "projected-wgs84"
         assert "dropped: 1" in capsys.readouterr().out
+
+    def test_ingest_has_no_wgs84_flag(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("traj_id,lat,lon\nv1,48.85,2.35\nv1,48.86,2.36\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", str(raw), "-o", str(tmp_path / "ds.csv"), "--wgs84"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --wgs84" in capsys.readouterr().err
+        assert not (tmp_path / "ds.csv").exists()
 
     def test_ids_that_need_quoting_survive_cluster_and_criteria(self, tmp_path):
         ids = ("a,b", 'say "hi"', "c|d")
@@ -219,16 +229,41 @@ class TestErrorPaths:
         ({"bundles": []}, "spec JSON needs a nonempty 'bundles' list"),
         ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": 2}, [1, 2]]},
          "bundle 1: expected an object"),
-        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": [2]}]}, "bundle 0: int() argument"),
+        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": [2]}]},
+         "bundle 0: bundle count must be an int >= 1, got [2]"),
         ({"bundles": [{"anchor": [[0, 0]], "count": 2}]}, "bundle 0: bundle anchor must be a polyline"),
+        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": 2.7}]},
+         "bundle 0: bundle count must be an int >= 1, got 2.7"),
+        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": "3"}]},
+         "bundle 0: bundle count must be an int >= 1, got '3'"),
+        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": True}]},
+         "bundle 0: bundle count must be an int >= 1, got True"),
+        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": 2, "points": [2.5, 3]}]},
+         "bundle 0: bundle points range must be two ints with 2 <= lo <= hi, got [2.5, 3]"),
+        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": 2, "points": [3, "4"]}]},
+         "bundle 0: bundle points range must be two ints with 2 <= lo <= hi, got [3, '4']"),
+        ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": 2, "jitter": "0.5"}]},
+         "bundle 0: bundle jitter must be a finite number >= 0, got '0.5'"),
     ], ids=["no-anchor", "top-level-list", "no-bundles", "bundle-not-object", "bad-count",
-            "short-anchor"])
+            "short-anchor", "float-count", "string-count", "bool-count", "float-points",
+            "string-points", "string-jitter"])
     def test_malformed_synth_spec_is_a_clean_failure(self, tmp_path, capsys, doc, reason):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["synth", str(spec), "-o", str(tmp_path / "ds.csv")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {spec}: {reason}")
         assert not (tmp_path / "ds.csv").exists()
+
+    def test_synth_spec_values_reach_the_sidecar_as_numbers(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": 2,
+                                                 "jitter": 0, "points": [3, 4]}]}),
+                        encoding="utf-8")
+        assert main(["synth", str(spec), "-o", str(tmp_path / "ds.csv")]) == 0
+        meta = (tmp_path / "ds.csv.meta.json").read_text(encoding="utf-8")
+        assert '"jitter": 0.0,' in meta
+        assert load_dataset(tmp_path / "ds.csv").provenance["bundles"] == [
+            {"count": 2, "jitter": 0.0, "points": [3, 4], "anchor_points": 2}]
 
     def test_synth_spec_that_is_not_json_is_a_clean_failure(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -88,30 +88,59 @@ class TestCsvIngest:
         with pytest.raises(IngestError, match="id column"):
             ingest(write(tmp_path, "d.csv", text))
 
-    def test_latlon_without_flag_is_refused(self, tmp_path):
-        text = "traj_id,lat,lon\na,48.85,2.35\na,48.86,2.36\n"
-        with pytest.raises(IngestError, match="wgs84=True"):
-            ingest(write(tmp_path, "d.csv", text))
-
-    def test_flag_without_latlon_is_refused(self, tmp_path):
-        with pytest.raises(IngestError, match="needs lat/lon"):
-            ingest(write(tmp_path, "d.csv", PLANAR_CSV), wgs84=True)
-
     def test_latlon_projection_is_centered_and_metric(self, tmp_path):
         text = ("traj_id,lat,lon\n"
                 "a,0.00,0.0\na,0.01,0.0\n")
-        ds = ingest(write(tmp_path, "d.csv", text), wgs84=True)
+        ds = ingest(write(tmp_path, "d.csv", text))
         assert ds.crs["kind"] == "projected-wgs84"
         assert ds.crs["origin_lat"] == pytest.approx(0.005)
+        assert ds.provenance["wgs84"] is True
         pts = ds.trajectories[0].points
         # 0.01 degrees of latitude is about 1112 m
         assert abs(pts[1, 1] - pts[0, 1]) == pytest.approx(1111.95, abs=0.1)
 
+    def test_planar_csv_is_not_projected(self, tmp_path):
+        ds = ingest(write(tmp_path, "d.csv", PLANAR_CSV))
+        assert ds.provenance["wgs84"] is False
+        assert ds.trajectories[0].points.tolist() == [[0.0, 0.0], [1.0, 0.0], [2.0, 0.5]]
+
+    def test_lon_before_lat_gives_the_same_dataset(self, tmp_path):
+        rows = [("a", 48.85, 2.35, 0), ("a", 48.86, 2.37, 1), ("b", 48.80, 2.40, 0),
+                ("b", 48.82, 2.41, 1)]
+        lat_first = "traj_id,lat,lon,t\n" + "".join(f"{i},{la},{lo},{t}\n" for i, la, lo, t in rows)
+        lon_first = "lon,t,traj_id,lat\n" + "".join(f"{lo},{t},{i},{la}\n" for i, la, lo, t in rows)
+        ds = ingest(write(tmp_path, "lat.csv", lat_first))
+        ref = ingest(write(tmp_path, "lon.csv", lon_first))
+        assert ds.ids == ref.ids and ds.crs == ref.crs
+        assert ds.crs["origin_lat"] == pytest.approx(48.8325)
+        assert ds.crs["origin_lon"] == pytest.approx(2.3825)
+        for a, b in zip(ds.trajectories, ref.trajectories):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.timestamps, b.timestamps)
+
+    def test_a_bad_geographic_coordinate_is_quoted_lon_first(self, tmp_path):
+        text = "traj_id,lat,lon\na,48.85,2.35\na,oops,2.36\n"
+        with pytest.raises(IngestError, match="line 3: bad coordinate: .* got '2.36', 'oops'"):
+            ingest(write(tmp_path, "d.csv", text))
+
     def test_min_points_drops_and_counts(self, tmp_path):
         text = "traj_id,x,y\na,0,0\na,1,0\na,2,0\nb,9,9\nb,8,8\n"
-        ds = ingest(write(tmp_path, "d.csv", text), min_points=3)
+        ds = ingest(write(tmp_path, "d.csv", text), min_points=np.int64(3))
         assert ds.ids == ("a",)
         assert ds.provenance["dropped"]["too_short"] == 1
+        assert type(ds.provenance["min_points"]) is int
+
+    @pytest.mark.parametrize("min_points", [2.9, 3.0, "3", True, None])
+    def test_min_points_must_be_an_int(self, tmp_path, min_points):
+        with pytest.raises(ValueError, match="ingest: min_points must be an int, got "):
+            ingest(write(tmp_path, "d.csv", PLANAR_CSV), min_points=min_points)
+
+    def test_a_stale_wgs84_argument_fails(self, tmp_path):
+        path = write(tmp_path, "d.csv", PLANAR_CSV)
+        with pytest.raises(TypeError, match="wgs84"):
+            ingest(path, wgs84=True)
+        with pytest.raises(ValueError, match="min_points must be an int, got True"):
+            ingest(path, "csv", True)
 
     def test_start_and_end_boxes_filter(self, tmp_path):
         ds = ingest(write(tmp_path, "d.csv", PLANAR_CSV),
@@ -144,6 +173,32 @@ class TestCsvIngest:
     def test_unreadable_file_is_rejected(self, tmp_path, text, match):
         with pytest.raises(IngestError, match=match):
             ingest(write(tmp_path, "d.csv", text))
+
+    # Each (lon, lat) walk starts at lon 1, 2, 3 or 4 and ends at lat 51.1, 51.2, 51.3 or 51.4.
+    GEO = [("a", [(1.0, 50.0), (1.5, 51.1)]), ("b", [(2.0, 50.0), (2.5, 51.2)]),
+           ("c", [(3.0, 50.0), (3.5, 51.3)]), ("d", [(4.0, 50.0), (4.5, 51.4)])]
+
+    @pytest.mark.parametrize("fmt", ["csv", "geojson"])
+    @pytest.mark.parametrize("boxes, kept, dropped", [
+        ({"start_box": (1.5, 49.5, 3.5, 50.5)}, ("b", "c"), {"start_box": 2, "end_box": 0}),
+        ({"end_box": (2.0, 51.15, 5.0, 51.35)}, ("b", "c"), {"start_box": 0, "end_box": 2}),
+        ({"start_box": (0.0, 49.0, 3.5, 51.0), "end_box": (3.0, 51.0, 5.0, 52.0)}, ("c",),
+         {"start_box": 1, "end_box": 2})], ids=["start", "end", "both"])
+    def test_geographic_boxes_are_lon_lat(self, tmp_path, fmt, boxes, kept, dropped):
+        if fmt == "csv":
+            text = "traj_id,lat,lon\n" + "".join(f"{tid},{lat},{lon}\n"
+                                                 for tid, pts in self.GEO for lon, lat in pts)
+            path = write(tmp_path, "d.csv", text)
+        else:
+            doc = {"type": "FeatureCollection", "features": [
+                {"type": "Feature", "id": tid,
+                 "geometry": {"type": "LineString", "coordinates": [list(p) for p in pts]}}
+                for tid, pts in self.GEO]}
+            path = write(tmp_path, "d.geojson", json.dumps(doc))
+        ds = ingest(path, fmt=fmt, **boxes)
+        assert ds.ids == kept
+        assert ds.crs["kind"] == "projected-wgs84"
+        assert ds.provenance["dropped"] == {"too_short": 0, **dropped}
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
@@ -300,6 +355,26 @@ class TestSynth:
     def test_jitter_must_be_finite_and_not_negative(self, jitter):
         with pytest.raises(ValueError, match="bundle jitter must be a finite number >= 0"):
             BundleSpec(anchor=self.ANCHOR, count=2, jitter=jitter)
+
+    @pytest.mark.parametrize("count", [2.7, 2.0, "3", True, None])
+    def test_count_must_be_an_int(self, count):
+        with pytest.raises(ValueError, match="bundle count must be an int >= 1, got "):
+            BundleSpec(anchor=self.ANCHOR, count=count)
+
+    @pytest.mark.parametrize("points", [(2.5, 3), (3, "4"), (3, True), (3,), (3, 4, 5), 3, "34"],
+                             ids=["float", "string", "bool", "one", "three", "number", "text"])
+    def test_points_must_be_two_ints(self, points):
+        with pytest.raises(ValueError, match="bundle points range must be two ints with 2 <= lo <= hi"):
+            BundleSpec(anchor=self.ANCHOR, count=2, points=points)
+
+    def test_values_are_stored_as_python_numbers(self):
+        spec = BundleSpec(anchor=self.ANCHOR, count=np.int64(3), jitter=0, points=[np.int32(4), 5])
+        assert (spec.count, spec.jitter, spec.points) == (3, 0.0, (4, 5))
+        assert [type(v) for v in (spec.count, spec.jitter, *spec.points)] == [int, float, int, int]
+        ds, _ = synth(spec, seed=0)
+        assert ds.provenance["bundles"][0] == {"count": 3, "jitter": 0.0, "points": [4, 5],
+                                               "anchor_points": 2}
+        assert json.dumps(ds.provenance["bundles"][0]["jitter"]) == "0.0"
 
     def test_non_finite_anchor_and_no_bundles_are_rejected(self):
         with pytest.raises(ValueError, match="bundle anchor must be finite"):
