@@ -46,9 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="normalise raw CSV/GeoJSON into a planar dataset")
-    p.add_argument("input", type=Path)
+    p.add_argument("input", type=Path, help="CSV or GeoJSON; the content decides which")
     p.add_argument("-o", "--output", type=Path, required=True, help="canonical dataset CSV to write")
-    p.add_argument("--format", choices=("csv", "geojson"), default="csv")
     p.add_argument("--min-points", type=int, default=2)
     box = _numbers("min_x,min_y,max_x,max_y")
     p.add_argument("--start-box", type=box, default=None, metavar="X0,Y0,X1,Y1",
@@ -110,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    ds = ingest(args.input, fmt=args.format, min_points=args.min_points,
-                start_box=args.start_box, end_box=args.end_box)
+    ds = ingest(args.input, min_points=args.min_points, start_box=args.start_box,
+                end_box=args.end_box)
     save_dataset(ds, args.output)
     dropped = ds.provenance.get("dropped", {})
     print(f"ingested {len(ds)} trajectories -> {args.output} "

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .matrix import DistanceMatrix
+from .warping import integer, real
 
 __all__ = [
     "APResult",
@@ -91,13 +92,16 @@ class ClusterAssignment:
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1:
             raise ValueError("labels must be a 1-D array")
-        if self.k < 1 or labels.size < self.k:
-            raise ValueError(f"invalid cluster count k={self.k} for {labels.size} items")
+        k = integer(self.k)
+        if k is None or not 1 <= k <= labels.size:
+            raise ValueError(f"ClusterAssignment: invalid cluster count k={self.k!r} for "
+                             f"{labels.size} items; expected an int in [1, {labels.size}]")
         present = np.unique(labels)
-        if present.size != self.k or present[0] != 0 or present[-1] != self.k - 1:
+        if present.size != k or present[0] != 0 or present[-1] != k - 1:
             raise ValueError("labels must cover 0..k-1 with every cluster nonempty")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "k", k)
 
     def members(self, c: int) -> np.ndarray:
         return np.flatnonzero(self.labels == c)
@@ -182,8 +186,8 @@ def cut(dendrogram: Dendrogram, k: int) -> ClusterAssignment:
     k-1 merges. Cluster labels are ordered by each cluster's smallest
     member index, so the labelling is deterministic."""
     n = dendrogram.n_items
-    if not 1 <= k <= n:
-        raise ValueError(f"cut: k must be in [1, {n}], got {k}")
+    if integer(k) is None or not 1 <= k <= n:
+        raise ValueError(f"cut: k must be an int in [1, {n}], got {k!r}")
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     for t in range(n - k):
         step = dendrogram.steps[t]
@@ -243,10 +247,13 @@ def affinity_propagation(
     """
     vals = np.ascontiguousarray(_values(m, "affinity_propagation"))
     n = vals.shape[0]
-    if not 0.0 < damping < 1.0:
-        raise ValueError("affinity_propagation: damping must be strictly inside (0, 1)")
-    if max_iter < 1 or convergence_iter < 1:
-        raise ValueError("affinity_propagation: iteration counts must be positive")
+    if not 0.0 < real(damping) < 1.0:  # NaN fails it too
+        raise ValueError(f"affinity_propagation: damping must be a number strictly inside (0, 1), "
+                         f"got {damping!r}")
+    damping = real(damping)
+    for name, count in (("max_iter", max_iter), ("convergence_iter", convergence_iter)):
+        if integer(count) is None or count < 1:
+            raise ValueError(f"affinity_propagation: {name} must be an int >= 1, got {count!r}")
     # The messages are updated a block of whole rows at a time, and a block
     # of the similarities s = -vals (diagonal: pref) is built in sbuf when it
     # is needed; so resp and avail are the only n x n arrays held here.

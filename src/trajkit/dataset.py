@@ -211,7 +211,6 @@ def _in_box(point: np.ndarray, box: tuple[float, float, float, float]) -> bool:
 
 def ingest(
     path: str | Path,
-    fmt: str = "csv",
     min_points: int = 2,
     start_box: tuple[float, float, float, float] | None = None,
     end_box: tuple[float, float, float, float] | None = None,
@@ -221,11 +220,11 @@ def ingest(
     Parameters
     ----------
     path : str or Path
-    fmt : {"csv", "geojson"}
-        CSV needs columns ``traj_id,x,y[,t]`` (planar) or
-        ``traj_id,lat,lon[,t]`` (geographic, in any column order);
-        GeoJSON LineStrings are always geographic. Geographic input is
-        projected to local planar metres about the dataset centroid.
+        GeoJSON if the file's first non-whitespace byte is ``{`` or ``[``,
+        else CSV, whatever its name. CSV needs columns ``traj_id,x,y[,t]``
+        (planar) or ``traj_id,lat,lon[,t]`` (geographic, in any column
+        order); GeoJSON LineStrings are always geographic. Geographic input
+        is projected to local planar metres about the dataset centroid.
     min_points : int
         Trajectories with fewer points are dropped (floor of 2: a single
         point has no carrier).
@@ -247,12 +246,9 @@ def ingest(
         if box is not None and (len(box) != 4 or not all(math.isfinite(real(v)) for v in box)):
             raise ValueError(f"ingest: {name} must be four finite numbers, got {box!r}")
     path = Path(path)
-    if fmt == "csv":
-        geographic, rows = _read_rows(path)
-    elif fmt == "geojson":
-        geographic, rows = True, _read_geojson(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}; expected csv or geojson")
+    with open(path, "rb") as fh:  # a JSON document opens with { or [, a CSV with its header
+        fmt = "geojson" if fh.read(4096).lstrip().startswith((b"{", b"[")) else "csv"
+    geographic, rows = (True, _read_geojson(path)) if fmt == "geojson" else _read_rows(path)
 
     by_id = _grouped(rows)
     dropped = {"too_short": 0, "start_box": 0, "end_box": 0}
@@ -320,8 +316,9 @@ class BundleSpec:
     points : (int, int)
         Inclusive range of per-trajectory sample counts (minimum 2).
 
-    A bool or a float is not an int here; the spec stores ``count`` and
-    ``points`` as Python ints and ``jitter`` as a Python float.
+    A bool or a float is not an int here, and a bool or a string is not a
+    number; the spec stores ``count`` and ``points`` as Python ints and
+    ``jitter`` as a Python float.
     """
 
     anchor: np.ndarray
@@ -330,11 +327,12 @@ class BundleSpec:
     points: tuple[int, int] = (8, 12)
 
     def __post_init__(self) -> None:
-        anchor = np.array(self.anchor, dtype=np.float64)
+        anchor = np.array(self.anchor, dtype=object)
         if anchor.ndim != 2 or anchor.shape[1] != 2 or anchor.shape[0] < 2:
             raise ValueError("bundle anchor must be a polyline of shape (k, 2), k >= 2")
+        anchor = np.vectorize(real, otypes=[np.float64])(anchor)
         if not np.all(np.isfinite(anchor)):
-            raise ValueError("bundle anchor must be finite")
+            raise ValueError("bundle anchor must be finite numbers")
         seg = segment_lengths(anchor)
         if seg.sum() <= 0:
             raise ValueError("bundle anchor must have positive length")

@@ -265,8 +265,8 @@ def compute_matrix(
     ids = [t.id for t in trajectories]
     if len(set(ids)) != len(ids):
         raise ValueError("compute_matrix: trajectory ids must be unique")
-    if workers < 1:
-        raise ValueError("compute_matrix: workers must be >= 1")
+    if warping.integer(workers) is None or workers < 1:
+        raise ValueError(f"compute_matrix: workers must be an int >= 1, got {workers!r}")
     n = len(trajectories)
     npairs = n * (n - 1) // 2
     store = warping.PointStore.pack(trajectories)  # points checked when each was built

@@ -284,14 +284,11 @@ def erp(t1, t2, gap_point) -> float:
     Aligning p1 with p2 costs ||p1 - p2||; leaving a point unmatched costs
     its distance to ``gap_point``. With a fixed gap point this is a true
     metric. An empty sequence is at distance sum(||p - gap_point||) over
-    the other. ``gap_point`` must be two finite numbers.
+    the other, added in order as the table adds it. ``gap_point`` must be
+    two finite numbers.
 
     Returns
     -------
     float
     """
-    gap_point = check_gap(gap_point, "erp")
-    store = PointStore.pack([t1, t2])
-    if not np.diff(store.offsets).all():  # numpy's sum, not the table's running sum
-        return float(_dist(store.xy[:store.offsets[-1]], np.array(gap_point)).sum())
-    return float(erp_batch(store, *_PAIR, gap_point)[0])
+    return on_pair(erp_batch, None, t1, t2, check_gap(gap_point, "erp"))

@@ -213,10 +213,7 @@ def scalar_erp(t1, t2, gap_point) -> float:
     n, m = a.shape[0], b.shape[0]
     gap_a = _scalar_pair_dists(a, g)[:, 0] if n else np.empty(0)
     gap_b = _scalar_pair_dists(g, b)[0, :] if m else np.empty(0)
-    if n == 0:
-        return float(gap_b.sum())
-    if m == 0:
-        return float(gap_a.sum())
+    # An empty side needs no branch: the table's row or column 0 adds the gap costs in order.
     cost = _scalar_pair_dists(a, b)
     prev = np.concatenate(([0.0], np.cumsum(gap_b)))
     cur = np.empty(m + 1)

@@ -41,7 +41,7 @@ def test_matrix_module_names_are_exactly_the_pinned_set():
 
 #: The options of each trajkit subcommand, --help aside.
 CLI_OPTIONS = {
-    "ingest": ["--end-box", "--format", "--min-points", "--output", "--start-box", "-o"],
+    "ingest": ["--end-box", "--min-points", "--output", "--start-box", "-o"],
     "synth": ["--labels", "--output", "--seed", "-o"],
     "matrix": ["--csv", "--distance", "--eps-d", "--gap", "--output", "--owd-density", "--workers",
                "-o"],
@@ -132,3 +132,19 @@ def process_name(node: ast.AST) -> str | None:
 def test_only_compute_matrix_starts_worker_processes():
     found = {(name, function) for name, tree in sources() for _, function in sites(tree, process_name)}
     assert found == {("matrix.py", "compute_matrix")}
+
+
+def test_the_readme_example_gives_the_values_its_comments_state():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    stated = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment:  # `expr  # literal`, maybe followed by a remark
+            want, got = ast.literal_eval(comment.split()[0]), eval(code, scope)
+            assert (got, type(got)) == (want, type(want)), line
+            stated += 1
+        else:
+            exec(line, scope)
+    assert stated == 4

@@ -128,6 +128,19 @@ class TestPipeline:
         assert "unrecognized arguments: --wgs84" in capsys.readouterr().err
         assert not (tmp_path / "ds.csv").exists()
 
+    def test_ingest_has_no_format_flag(self, tmp_path, capsys):
+        raw = tmp_path / "raw.geojson"
+        raw.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "id": "v1",
+             "geometry": {"type": "LineString", "coordinates": [[2.35, 48.85], [2.36, 48.86]]}}]}),
+            encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", str(raw), "-o", str(tmp_path / "ds.csv"), "--format", "geojson"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --format geojson" in capsys.readouterr().err
+        assert main(["ingest", str(raw), "-o", str(tmp_path / "ds.csv")]) == 0
+        assert load_dataset(tmp_path / "ds.csv").crs["kind"] == "projected-wgs84"
+
     def test_ids_that_need_quoting_survive_cluster_and_criteria(self, tmp_path):
         ids = ("a,b", 'say "hi"', "c|d")
         ds = TrajectoryDataset(tuple(Trajectory(i, [(0.0, k), (1.0, k), (2.0, k + 0.5)])
@@ -244,9 +257,11 @@ class TestErrorPaths:
          "bundle 0: bundle points range must be two ints with 2 <= lo <= hi, got [3, '4']"),
         ({"bundles": [{"anchor": [[0, 0], [1, 0]], "count": 2, "jitter": "0.5"}]},
          "bundle 0: bundle jitter must be a finite number >= 0, got '0.5'"),
+        ({"bundles": [{"anchor": [["0", "0"], ["1", True]], "count": 2}]},
+         "bundle 0: bundle anchor must be finite numbers"),
     ], ids=["no-anchor", "top-level-list", "no-bundles", "bundle-not-object", "bad-count",
             "short-anchor", "float-count", "string-count", "bool-count", "float-points",
-            "string-points", "string-jitter"])
+            "string-points", "string-jitter", "string-anchor"])
     def test_malformed_synth_spec_is_a_clean_failure(self, tmp_path, capsys, doc, reason):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc), encoding="utf-8")
@@ -288,7 +303,7 @@ class TestErrorPaths:
         doc = [] if feature is None else {"type": "FeatureCollection",
                                           "features": [{"type": "Feature", "id": "r"} | feature]}
         raw.write_text(json.dumps(doc), encoding="utf-8")
-        rc = main(["ingest", str(raw), "--format", "geojson", "-o", str(tmp_path / "ds.csv")])
+        rc = main(["ingest", str(raw), "-o", str(tmp_path / "ds.csv")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and reason in err

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -78,7 +80,10 @@ class TestClusterAssignment:
     @pytest.mark.parametrize("labels, k, match", [
         (np.zeros((2, 2)), 1, "1-D"), (np.zeros(2), 0, "invalid cluster count"),
         (np.zeros(2), 3, "invalid cluster count"), (np.array([0, 2, 2]), 2, "cover 0..k-1"),
-        (np.array([1, 1]), 1, "cover 0..k-1")])
+        (np.array([1, 1]), 1, "cover 0..k-1"),
+        (np.zeros(2), 1.0, r"ClusterAssignment: invalid cluster count k=1\.0 for 2 items; "
+                           r"expected an int in \[1, 2\]"),
+        (np.zeros(2), True, "ClusterAssignment: invalid cluster count k=True")])
     def test_rejects_labels_that_are_not_k_nonempty_clusters(self, labels, k, match):
         with pytest.raises(ValueError, match=match):
             ClusterAssignment(labels, k)
@@ -213,6 +218,12 @@ class TestCut:
         with pytest.raises(ValueError, match="k"):
             cut(dg, 4)
 
+    @pytest.mark.parametrize("k", [2.5, True, 2.0, "2"])
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"cut: k must be an int in [1, 3], got {k!r}")):
+            cut(hca(squareform([1.0, 5.0, 4.0])), k)
+        assert type(cut(hca(squareform([1.0, 5.0, 4.0])), np.int64(2)).k) is int
+
 
 class TestAffinityPropagation:
     def test_recovers_separated_blobs(self):
@@ -263,6 +274,13 @@ class TestAffinityPropagation:
             affinity_propagation(d, damping=0.0)
         with pytest.raises(ValueError, match="damping"):
             affinity_propagation(d, damping=1.0)
+
+    @pytest.mark.parametrize("damping", ["0.5", True, math.nan, None])
+    def test_damping_must_be_a_number(self, damping):
+        with pytest.raises(ValueError, match=re.escape(
+                "affinity_propagation: damping must be a number strictly inside (0, 1), "
+                f"got {damping!r}")):
+            affinity_propagation(np.zeros((2, 2)), damping=damping)
 
     @pytest.mark.parametrize("preference", [np.nan, np.inf, -np.inf])
     def test_non_finite_preference_is_rejected(self, preference):
@@ -350,9 +368,13 @@ class TestAffinityPropagation:
         assert res.assignment.labels.tolist() == labels
         assert (list(res.exemplars), res.n_iter, res.preference_value) == (exemplars, n_iter, pref)
 
-    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"convergence_iter": 0}])
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"convergence_iter": 0},
+                                        {"max_iter": 10.0}, {"convergence_iter": 2.5},
+                                        {"max_iter": True}, {"convergence_iter": "15"}])
     def test_iteration_counts_must_be_positive(self, kwargs):
-        with pytest.raises(ValueError, match="affinity_propagation: iteration counts must be positive"):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=re.escape(
+                f"affinity_propagation: {name} must be an int >= 1, got {value!r}")):
             affinity_propagation(np.zeros((2, 2)), **kwargs)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 64])

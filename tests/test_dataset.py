@@ -139,7 +139,7 @@ class TestCsvIngest:
         path = write(tmp_path, "d.csv", PLANAR_CSV)
         with pytest.raises(TypeError, match="wgs84"):
             ingest(path, wgs84=True)
-        with pytest.raises(ValueError, match="min_points must be an int, got True"):
+        with pytest.raises(ValueError, match="min_points must be an int, got 'csv'"):
             ingest(path, "csv", True)
 
     def test_start_and_end_boxes_filter(self, tmp_path):
@@ -195,14 +195,21 @@ class TestCsvIngest:
                  "geometry": {"type": "LineString", "coordinates": [list(p) for p in pts]}}
                 for tid, pts in self.GEO]}
             path = write(tmp_path, "d.geojson", json.dumps(doc))
-        ds = ingest(path, fmt=fmt, **boxes)
+        ds = ingest(path, **boxes)
         assert ds.ids == kept
         assert ds.crs["kind"] == "projected-wgs84"
         assert ds.provenance["dropped"] == {"too_short": 0, **dropped}
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown format"):
-            ingest(write(tmp_path, "d.csv", PLANAR_CSV), fmt="parquet")
+    def test_the_content_decides_the_format_not_the_name(self, tmp_path):
+        doc = json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "id": "r1",
+             "geometry": {"type": "LineString", "coordinates": [[2.35, 48.85], [2.36, 48.86]]}}]})
+        for name in ("d.csv", "d.json"):
+            ds = ingest(write(tmp_path, name, "\n  " + doc))
+            assert ds.ids == ("r1",) and ds.provenance["format"] == "geojson"
+        ds = ingest(write(tmp_path, "d.geojson", PLANAR_CSV))
+        assert ds.ids == ("a", "b") and ds.provenance["format"] == "csv"
+        assert ds.crs == {"kind": "planar"}
 
 
 class TestGeojsonIngest:
@@ -223,7 +230,7 @@ class TestGeojsonIngest:
 
     def test_linestrings_are_projected(self, tmp_path):
         p = write(tmp_path, "d.geojson", json.dumps(self.make_doc()))
-        ds = ingest(p, fmt="geojson")
+        ds = ingest(p)
         assert ds.ids == ("r1", "r2")
         assert ds.crs["kind"] == "projected-wgs84"
         assert ds.trajectories[0].timestamps is not None
@@ -233,14 +240,14 @@ class TestGeojsonIngest:
         doc["features"][0]["geometry"] = {"type": "Point", "coordinates": [0, 0]}
         p = write(tmp_path, "d.geojson", json.dumps(doc))
         with pytest.raises(IngestError, match="feature 0.*LineString"):
-            ingest(p, fmt="geojson")
+            ingest(p)
 
     def test_missing_id_rejected(self, tmp_path):
         doc = self.make_doc()
         del doc["features"][1]["properties"]["traj_id"]
         p = write(tmp_path, "d.geojson", json.dumps(doc))
         with pytest.raises(IngestError, match="feature 1.*no id"):
-            ingest(p, fmt="geojson")
+            ingest(p)
 
     @pytest.mark.parametrize("feature, key, value, match", [
         (None, "type", "Feature", "expected a GeoJSON FeatureCollection"),
@@ -274,22 +281,22 @@ class TestGeojsonIngest:
         (doc if feature is None else doc["features"][feature])[key] = value
         p = write(tmp_path, "d.geojson", json.dumps(doc))
         with pytest.raises(IngestError, match=match):
-            ingest(p, fmt="geojson")
+            ingest(p)
 
     def test_top_level_list_rejected(self, tmp_path):
         p = write(tmp_path, "d.geojson", json.dumps([self.make_doc()]))
         with pytest.raises(IngestError, match="d.geojson: expected a JSON object at the top level"):
-            ingest(p, fmt="geojson")
+            ingest(p)
 
     def test_invalid_json_rejected(self, tmp_path):
         p = write(tmp_path, "d.geojson", "{nope")
         with pytest.raises(IngestError, match="invalid JSON"):
-            ingest(p, fmt="geojson")
+            ingest(p)
 
     def test_times_may_be_numbers_or_iso_strings(self, tmp_path):
         doc = self.make_doc()
         doc["features"][0]["properties"]["timestamps"] = ["2024-05-01T10:00:00", 1714557630.5]
-        ds = ingest(write(tmp_path, "d.geojson", json.dumps(doc)), fmt="geojson")
+        ds = ingest(write(tmp_path, "d.geojson", json.dumps(doc)))
         assert ds.trajectories[0].timestamps.tolist() == [1714557600.0, 1714557630.5]
 
 
@@ -375,6 +382,12 @@ class TestSynth:
         assert ds.provenance["bundles"][0] == {"count": 3, "jitter": 0.0, "points": [4, 5],
                                                "anchor_points": 2}
         assert json.dumps(ds.provenance["bundles"][0]["jitter"]) == "0.0"
+
+    @pytest.mark.parametrize("anchor", [[["0", "0"], ["1", "1"]], [[0, 0], [1, True]],
+                                        [[0, 0], [1, None]]], ids=["string", "bool", "none"])
+    def test_anchor_values_must_be_numbers(self, anchor):
+        with pytest.raises(ValueError, match="bundle anchor must be finite numbers"):
+            BundleSpec(anchor=anchor, count=2)
 
     def test_non_finite_anchor_and_no_bundles_are_rejected(self):
         with pytest.raises(ValueError, match="bundle anchor must be finite"):

@@ -429,7 +429,10 @@ class TestComputeMatrix:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fleet, workers, match", [
-        ([], 1, "at least one trajectory"), (small_fleet(n=2), 0, "workers must be >= 1")])
+        ([], 1, "at least one trajectory"), (small_fleet(n=2), 0, "workers must be an int >= 1"),
+        (small_fleet(n=2), 2.5, "compute_matrix: workers must be an int >= 1, got 2.5"),
+        (small_fleet(n=2), True, "compute_matrix: workers must be an int >= 1, got True"),
+        (small_fleet(n=2), "2", "compute_matrix: workers must be an int >= 1, got '2'")])
     def test_rejects_an_empty_job_and_no_workers(self, fleet, workers, match):
         with pytest.raises(ValueError, match=match):
             compute_matrix(fleet, "dtw", workers=workers)

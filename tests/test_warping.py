@@ -146,6 +146,14 @@ class TestErp:
         assert erp([(3.0, 4.0)], [], gap_point=(0.0, 0.0)) == 5.0
         assert erp([], [], gap_point=(0.0, 0.0)) == 0.0
 
+    def test_empty_side_adds_gap_costs_in_order(self):
+        rng = np.random.default_rng(5)
+        g = (0.3, -0.2)
+        for n in range(1, 40):
+            a = rng.normal(size=(n, 2)) * 10
+            assert erp(a, [], g) == enum_erp(a, [], g)
+            assert erp([], a, g) == enum_erp([], a, g)
+
     def test_gap_against_extra_point(self):
         a = [(1.0, 0.0)]
         b = [(1.0, 0.0), (1.0, 1.0)]
