@@ -10,7 +10,7 @@ from .clustering import (APResult, ClusterAssignment, CriteriaResult, Dendrogram
                          MergeStep, affinity_propagation, criteria, cut, exemplar, hca)
 from .dataset import (BundleSpec, IngestError, TrajectoryDataset, ingest,
                       load_dataset, save_dataset, synth)
-from .geometry import EARTH_RADIUS_M, Trajectory, project_wgs84
+from .geometry import Trajectory, project_wgs84
 from .matrix import (DISTANCE_NAMES, DistanceMatrix, DistanceSpec,
                      MatrixComputationError, MatrixFormatError, compute_matrix,
                      load_matrix, save_matrix, save_matrix_csv)
@@ -30,7 +30,6 @@ __all__ = [
     "DISTANCE_NAMES",
     "DistanceMatrix",
     "DistanceSpec",
-    "EARTH_RADIUS_M",
     "IngestError",
     "MatrixComputationError",
     "MatrixFormatError",

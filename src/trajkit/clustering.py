@@ -269,9 +269,10 @@ def affinity_propagation(
         # Row r of this view runs from cell (r, r + 1) to cell (r + 1, r).
         pref = -float(vals.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].max()) if n > 1 else 0.0
     else:
-        pref = float(preference)
+        pref = real(preference)
         if not math.isfinite(pref):
-            raise ValueError(f"affinity_propagation: preference must be finite, got {pref!r}")
+            raise ValueError(f"affinity_propagation: preference must be finite and a number, "
+                             f"got {preference!r}")
 
     if n == 1:
         assignment = ClusterAssignment(np.zeros(1, dtype=np.int64), 1)
@@ -371,12 +372,14 @@ def exemplar(indices: Sequence[int], m: DistanceMatrix | np.ndarray) -> int:
 
 def _central(indices: Sequence[int], vals: np.ndarray) -> int:
     """:func:`exemplar` on the values of a matrix already checked."""
-    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices),
-                     dtype=np.int64).ravel()
-    if not (idx[1:] > idx[:-1]).all():
-        idx = np.unique(idx)
+    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices)).ravel()
     if idx.size == 0:
         raise ValueError("exemplar: empty index set")
+    if idx.dtype.kind not in "iu":  # a bool mask or a float is not an index
+        raise ValueError(f"exemplar: indices must be integers, got {idx.dtype} values")
+    idx = idx.astype(np.int64, copy=False)
+    if not (idx[1:] > idx[:-1]).all():
+        idx = np.unique(idx)
     if idx[0] < 0 or idx[-1] >= vals.shape[0]:
         raise ValueError("exemplar: index out of range")
     if idx.size == vals.shape[0]:

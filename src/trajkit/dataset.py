@@ -9,6 +9,7 @@ projected to planar metres once, at ingestion, about the dataset centroid.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -110,7 +111,7 @@ def _record(where: str, tid, a, b, t) -> tuple[str, float, float, float | None]:
 def _read_rows(path: Path) -> tuple[bool, list[tuple[str, float, float, float | None]]]:
     """Parse a trajectory CSV. Returns (is_geographic, rows); a geographic
     row is (id, lon, lat, t)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -221,7 +222,8 @@ def ingest(
     ----------
     path : str or Path
         GeoJSON if the file's first non-whitespace byte is ``{`` or ``[``,
-        else CSV, whatever its name. CSV needs columns ``traj_id,x,y[,t]``
+        else CSV, whatever its name; UTF-8, with or without a byte-order
+        mark. CSV needs columns ``traj_id,x,y[,t]``
         (planar) or ``traj_id,lat,lon[,t]`` (geographic, in any column
         order); GeoJSON LineStrings are always geographic. Geographic input
         is projected to local planar metres about the dataset centroid.
@@ -247,7 +249,8 @@ def ingest(
             raise ValueError(f"ingest: {name} must be four finite numbers, got {box!r}")
     path = Path(path)
     with open(path, "rb") as fh:  # a JSON document opens with { or [, a CSV with its header
-        fmt = "geojson" if fh.read(4096).lstrip().startswith((b"{", b"[")) else "csv"
+        head = fh.read(4096).removeprefix(codecs.BOM_UTF8).lstrip()
+    fmt = "geojson" if head.startswith((b"{", b"[")) else "csv"
     geographic, rows = (True, _read_geojson(path)) if fmt == "geojson" else _read_rows(path)
 
     by_id = _grouped(rows)
@@ -422,11 +425,11 @@ def write_csv(path: str | Path, header: list, rows) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    """The JSON object that the UTF-8 file ``path`` holds; an IngestError
-    naming the file if it is not JSON or not an object. Every JSON file that
-    trajkit reads goes through here."""
+    """The JSON object that the UTF-8 file ``path`` holds, after a leading
+    byte-order mark if any; an IngestError naming the file if it is not
+    JSON or not an object. Every JSON file that trajkit reads goes through here."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise IngestError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -191,20 +191,23 @@ def _pair_indices(n: int, start: int, end: int) -> tuple[np.ndarray, np.ndarray]
 def _eval_range(job: tuple, bounds: tuple[int, int]) -> tuple[int, np.ndarray, list]:
     """Distances of the pairs at flat positions ``bounds``, and the pairs
     that failed as (flat position, i, j, message). The batch kernel runs
-    the range at once; if it raises, it runs each pair of the range alone."""
+    the range at once; if it raises, it runs each pair of the range alone.
+    A pair whose distance is not finite fails too."""
     store, batch, params = job
     start, end = bounds
     ia, ib = _pair_indices(len(store.offsets) - 1, start, end)
+    failures = []
     try:
-        return start, batch(store, ia, ib, *params), []
-    except Exception:  # re-run below, pair by pair, to name the failing pairs
-        pass
-    values, failures = np.zeros(len(ia)), []
-    for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
-        try:
-            values[k] = batch(store, ia[k:k + 1], ib[k:k + 1], *params)[0]
-        except Exception as exc:  # reported with the offending pair attached
-            failures.append((start + k, i, j, f"{type(exc).__name__}: {exc}"))
+        values = batch(store, ia, ib, *params)
+    except Exception:  # re-run pair by pair, to name the failing pairs
+        values = np.zeros(len(ia))
+        for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
+            try:
+                values[k] = batch(store, ia[k:k + 1], ib[k:k + 1], *params)[0]
+            except Exception as exc:  # reported with the offending pair attached
+                failures.append((start + k, i, j, f"{type(exc).__name__}: {exc}"))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        failures.append((start + k, int(ia[k]), int(ib[k]), f"non-finite distance {values[k]}"))
     return start, values, failures
 
 

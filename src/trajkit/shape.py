@@ -66,7 +66,7 @@ def discrete_frechet(t1, t2) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Continuous Frechet distance: free-space feasibility + candidate search.
+# Continuous Frechet distance: free-space decision over the critical values.
 # ---------------------------------------------------------------------------
 
 
@@ -133,7 +133,7 @@ class _FreeSpace:
         Propagates reachable sub-intervals of the cell boundaries through
         the free-space diagram in row-major order. The radius is inflated
         by one part in 1e12 so that intervals that open exactly at a
-        candidate value survive floating-point rounding.
+        critical value survive floating-point rounding.
         """
         if self.d_start > eps or self.d_end > eps:
             return False
@@ -208,18 +208,6 @@ class _FreeSpace:
         dh = np.sqrt(np.maximum(self.pa * th ** 2 + self.hb * th + self.hc, 0.0))
         return dv, dh
 
-    def candidates(self, near: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Sorted unique search radii: per-cell segment-pair values plus
-        the forced start/end vertex distances.
-
-        Each cell value is the larger of the four vertex-to-segment
-        distances ``near`` (from :meth:`near`) of its segment pair.
-        """
-        dv, dh = near
-        cell = np.maximum.reduce([dv[:-1, :], dv[1:, :], dh[:-1, :].T, dh[1:, :].T])
-        vals = np.concatenate([cell.ravel(), [self.d_start, self.d_end]])
-        return np.unique(vals)
-
     def critical_values(self, near: tuple[np.ndarray, np.ndarray], lo: float, hi: float) -> np.ndarray:
         """Alt & Godau's critical radii in [lo, hi], sorted and unique: (a)
         the endpoint distances, (b) the vertex-to-segment distances
@@ -259,52 +247,23 @@ def _equidistant(a2: np.ndarray, b: np.ndarray, c: np.ndarray, lo: float, hi: fl
     return out
 
 
-class _Memo:
-    """The decisions of one pair's search, answered from the two radii
-    that bound the answer where they can.
-
-    ``lo`` is the largest radius a real :meth:`_FreeSpace.feasible` call
-    rejected and ``hi`` the smallest it accepted. A radius at or below
-    ``lo`` is rejected and one at or above ``hi`` accepted without a call;
-    any other radius, NaN included, runs the decision and moves a bound
-    (a NaN bound only sends later radii on its side to the decision).
-
-    This returns the decision's own bits because the decision is monotone
-    in ``eps`` under IEEE rounding. The sign and endpoint tests are plain
-    comparisons with ``eps``. Elementwise, ``eps2``, ``disc`` and ``root``
-    grow with ``eps`` (each a correctly rounded, monotone numpy operation
-    on it), so every interval's ``lo`` only falls and its ``hi`` only
-    rises, and the emptiness tests and the clamps to [0, 1] are monotone.
-    Reachable intervals, built from those with ``max`` and the same tests,
-    therefore only grow, and so does the final test at the far corner. So
-    every radius the memo answers would have been answered the same by a call.
-    """
-
-    def __init__(self, space: _FreeSpace) -> None:
-        self.space = space
-        self.lo = -math.inf
-        self.hi = math.inf
-
-    def feasible(self, eps: float) -> bool:
-        if eps <= self.lo:
-            return False
-        if eps >= self.hi:
-            return True
-        if self.space.feasible(eps):
-            self.hi = eps
-            return True
-        self.lo = eps
-        return False
+def _lower_bound(fs: _FreeSpace, near: tuple[np.ndarray, np.ndarray]) -> float:
+    """The endpoint distances and each vertex's distance to the other
+    carrier, whichever is largest: every traversal passes each vertex at
+    least that far from the other curve. It is itself a critical value."""
+    dv, dh = near
+    return max(fs.d_start, fs.d_end, float(dv.min(axis=1).max()), float(dh.min(axis=1).max()))
 
 
 def frechet_candidates(t1, t2) -> np.ndarray:
-    """Candidate radii searched by :func:`frechet`: the segment-pair
-    Frechet values of every cell plus the forced endpoint distances,
-    sorted ascending."""
+    """The radii :func:`frechet` searches: the Alt-Godau critical values
+    from the pair's lower bound (endpoint and vertex-to-carrier distances)
+    up to its discrete Frechet distance, sorted ascending."""
     a = _shape_points(t1, "frechet")
     b = _shape_points(t2, "frechet")
     fs = _FreeSpace(a, b)
-    return fs.candidates(fs.near())
+    near = fs.near()
+    return fs.critical_values(near, _lower_bound(fs, near), discrete_frechet(a, b))
 
 
 def frechet_feasible(t1, t2, eps: float) -> bool:
@@ -318,87 +277,37 @@ def frechet_feasible(t1, t2, eps: float) -> bool:
     return _FreeSpace(a, b).feasible(float(eps))
 
 
-def _search(decide, cand: np.ndarray) -> float:
-    """Binary search of ``decide`` over the candidate radii, the doubling
-    fallback, then bisection to relative 1e-12 inside the final bracket."""
-    lo_i, hi_i = 0, len(cand) - 1
-    if decide(float(cand[lo_i])):
-        return float(cand[lo_i])
-    if not decide(float(cand[hi_i])):
-        # The largest segment-pair value admits a staircase traversal, so
-        # this only guards numerical corner cases.
-        hi = float(cand[hi_i]) if cand[hi_i] > 0 else 1.0
-        for _ in range(64):
-            hi *= 2.0
-            if decide(hi):
-                break
-        else:
-            raise RuntimeError("frechet: no feasible radius found")
-        lo = float(cand[hi_i])
-    else:
-        while hi_i - lo_i > 1:
-            mid = (lo_i + hi_i) // 2
-            if decide(float(cand[mid])):
-                hi_i = mid
-            else:
-                lo_i = mid
-        lo, hi = float(cand[lo_i]), float(cand[hi_i])
-    # Refine: the true value lies in (lo, hi]; stop once the bracket is
-    # negligible relative to the answer.
-    tol = max(1e-13, 1e-12 * hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if decide(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-_BOUND_MARGIN = 1e-9  # relative slack on the bounds that select critical values
-_SWITCH_MARGIN = 1e-14  # relative half-width of the probes around the decision's switch
-
-
 def _frechet_pair(p: np.ndarray, q: np.ndarray, upper: float) -> float:
-    """:func:`_search` through a :class:`_Memo`, seeded first.
+    """The smallest critical value between the pair's lower bound and
+    ``upper``, its discrete Frechet distance, that the decision accepts.
 
-    After the search's own first probe, a binary search over the critical
-    values between the pair's lower bound (endpoint and vertex-to-carrier
-    distances) and ``upper``, its discrete Frechet distance, finds the
-    smallest feasible one, c; probes on either side of where the decision
-    switches near c then leave the search little to decide. Seeds only
-    move the memo's bounds, so they can cost probes but not change bits.
+    The lower bound is the first critical value, so its decision runs
+    before any type-(c) value is enumerated. Where the decision accepts
+    none, the walks lie closer than the free space resolves, and ``upper``
+    is returned: it is a true upper bound.
+
+    The binary search is sound because the decision is monotone in ``eps``
+    under IEEE rounding. The endpoint tests are plain comparisons with
+    ``eps``. Elementwise, ``eps2``, ``disc`` and ``root`` grow with ``eps``
+    (each a correctly rounded, monotone operation on it), so every
+    interval's ``lo`` only falls and its ``hi`` only rises. Reachable
+    intervals, built from those with ``max`` and the same tests, therefore
+    only grow, and so does the final test at the far corner.
     """
     fs = _FreeSpace(p, q)
-    memo = _Memo(fs)
     near = fs.near()
-    cand = fs.candidates(near)
-    if memo.feasible(float(cand[0])):
-        return float(cand[0])
-    dv, dh = near
-    lower = max(fs.d_start, fs.d_end, float(dv.min(axis=1).max()), float(dh.min(axis=1).max()))
-    if upper <= lower:  # the bounds meet: the answer is the lower bound, itself a critical value
-        crit = np.array([lower])
-    else:
-        crit = fs.critical_values(near, lower * (1.0 - _BOUND_MARGIN), upper * (1.0 + _BOUND_MARGIN))
-    lo_i, hi_i = -1, len(crit)
+    lower = _lower_bound(fs, near)
+    if upper <= lower or fs.feasible(lower):
+        return min(lower, upper)
+    crit = fs.critical_values(near, lower, upper)
+    lo_i, hi_i = 0, len(crit)  # crit[0] is lower, rejected; len(crit) stands for upper
     while hi_i - lo_i > 1:
         mid = (lo_i + hi_i) // 2
-        if memo.feasible(float(crit[mid])):
+        if fs.feasible(float(crit[mid])):
             hi_i = mid
         else:
             lo_i = mid
-    if hi_i < len(crit):
-        c = float(crit[hi_i])
-        if c <= max(fs.d_start, fs.d_end):  # the decision's endpoint test switches at c itself
-            memo.feasible(math.nextafter(c, -math.inf))
-        else:
-            # The decision inflates its radius by 1 + 1e-12, so it switches
-            # just below the smallest feasible critical value: bracket that point.
-            switch = c / (1.0 + 1e-12)
-            memo.feasible(switch * (1.0 - _SWITCH_MARGIN))
-            memo.feasible(switch * (1.0 + _SWITCH_MARGIN))
-    return _search(memo.feasible, cand)
+    return float(crit[hi_i]) if hi_i < len(crit) else upper
 
 
 def frechet_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
@@ -412,17 +321,12 @@ def frechet_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarr
 def frechet(t1, t2) -> float:
     """Continuous Frechet distance between two polylines.
 
-    Binary search over the candidate radii (segment-pair Frechet values
-    plus the forced endpoint distances) with the free-space feasibility
-    decision, then a bisection refinement inside the final bracket: the
-    candidate list can skip the exact critical value when the bottleneck
-    is a monotonicity constraint rather than a boundary opening.
-
-    The search's decisions go through a memo of the tightest radii a real
-    decision rejected and accepted, seeded by a binary search over the
-    Alt-Godau critical values between the vertex Hausdorff distance and
-    the discrete Frechet distance: a pair runs about 3 decisions instead
-    of about 40, and the result is bit for bit that of the search alone.
+    Alt & Godau show that the distance is one of their critical values:
+    an endpoint distance, a vertex-to-segment distance, or the distance
+    from two vertices of one curve to the point of a segment of the other
+    equidistant to both. This is the smallest one that the free-space
+    decision accepts, found by a binary search between the pair's lower
+    bound and its discrete Frechet distance, which caps it.
     """
     return warping.on_pair(frechet_batch, None, t1, t2)
 

@@ -405,6 +405,45 @@ def frozen_frechet(t1, t2, space=None) -> float:
     return hi
 
 
+def exact_frechet(t1, t2) -> float:
+    """Continuous Frechet as Alt & Godau define it: the smallest critical
+    value that the frozen decision accepts, in scalar loops over the frozen
+    coefficients. Types (a) the endpoint distances, (b) each vertex's
+    distance to each segment of the other curve, and (c) on each segment,
+    the distance from the point equidistant to two vertices k < l of the
+    other curve, where it lies on the segment. A linear sweep upward from
+    the lower bound (the endpoints and each vertex's nearest segment),
+    capped at the discrete Frechet distance."""
+    fs = FrozenFreeSpace(t1, t2)
+    values = [fs.d_start, fs.d_end]
+    lower = max(values)
+    for a2, b, c in ((fs.qa.tolist(), fs.vb.tolist(), fs.vc.tolist()),
+                     (fs.pa.tolist(), fs.hb.tolist(), fs.hc.tolist())):
+        for bv, cv in zip(b, c):  # one vertex against every segment
+            near = []
+            for a, bs, cs in zip(a2, bv, cv):
+                t = min(max(-bs / (2 * a), 0.0), 1.0) if a > 0 else 0.0
+                near.append(math.sqrt(max(a * (t * t) + bs * t + cs, 0.0)))
+            values += near
+            lower = max(lower, min(near))
+        for s, a in enumerate(a2):  # two vertices against one segment
+            for k in range(len(b)):
+                for l in range(k + 1, len(b)):
+                    den = b[k][s] - b[l][s]
+                    if den == 0.0:
+                        continue
+                    t = (c[l][s] - c[k][s]) / den
+                    if 0.0 <= t <= 1.0:
+                        values.append(math.sqrt(max(a * t * t + b[k][s] * t + c[k][s], 0.0)))
+    cap = scalar_discrete_frechet(t1, t2)
+    for value in sorted(set(values)):
+        if value > cap:
+            break
+        if value >= lower and fs.feasible(value):
+            return value
+    return cap
+
+
 def frozen_owd(t1, t2, samples_per_unit: float = 1.0) -> float:
     a = np.asarray(t1, dtype=np.float64)
     b = np.asarray(t2, dtype=np.float64)

@@ -13,7 +13,7 @@ from trajkit.cli import _build_parser
 
 PUBLIC = {
     "APResult", "BundleSpec", "ClusterAssignment", "CriteriaResult", "DISTANCE_NAMES",
-    "Dendrogram", "DistanceMatrix", "DistanceSpec", "EARTH_RADIUS_M", "IngestError",
+    "Dendrogram", "DistanceMatrix", "DistanceSpec", "IngestError",
     "MatrixComputationError", "MatrixFormatError", "MergeStep", "Trajectory",
     "TrajectoryDataset", "affinity_propagation", "compute_matrix", "criteria", "cut",
     "discrete_frechet", "dlcss", "dtw", "edr", "erp", "exemplar", "frechet",

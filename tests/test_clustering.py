@@ -288,6 +288,11 @@ class TestAffinityPropagation:
         with pytest.raises(ValueError, match="preference must be finite"):
             affinity_propagation(d, preference=preference)
 
+    @pytest.mark.parametrize("preference", [True, np.bool_(True)])
+    def test_a_bool_preference_is_rejected(self, preference):
+        with pytest.raises(ValueError, match="preference must be finite and a number, got "):
+            affinity_propagation(np.zeros((2, 2)), preference=preference)
+
     def test_identical_items_form_one_cluster(self):
         res = affinity_propagation(np.zeros((2, 2)), preference=-1.0)
         assert res.assignment.k == 1
@@ -414,7 +419,9 @@ class TestExemplar:
 
     @pytest.mark.parametrize("indices, match", [
         ([], "exemplar: empty index set"), ([0, 3], "exemplar: index out of range"),
-        ([-1, 1], "exemplar: index out of range")])
+        ([-1, 1], "exemplar: index out of range"), ([2.9], "exemplar: indices must be integers"),
+        ([0.5], "exemplar: indices must be integers"),
+        (np.array([True, True, False]), "exemplar: indices must be integers")])
     def test_rejects_index_sets_that_name_no_item(self, indices, match):
         with pytest.raises(ValueError, match=match):
             exemplar(indices, squareform([1.0, 5.0, 4.0]))

@@ -211,6 +211,23 @@ class TestCsvIngest:
         assert ds.ids == ("a", "b") and ds.provenance["format"] == "csv"
         assert ds.crs == {"kind": "planar"}
 
+    @pytest.mark.parametrize("text", [
+        PLANAR_CSV, "traj_id,lat,lon\na,0.00,0.0\na,0.01,0.0\nb,0.02,0.0\nb,0.02,0.01\n",
+        json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "id": "r1",
+             "geometry": {"type": "LineString", "coordinates": [[2.35, 48.85], [2.36, 48.86]]}}]})],
+        ids=["planar", "latlon", "geojson"])
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, text):
+        # Spreadsheet tools open a "CSV UTF-8" export with one.
+        ref = ingest(write(tmp_path, "plain", text))
+        ds = ingest(write(tmp_path, "marked", "\ufeff" + text))
+        assert ds.ids == ref.ids and ds.crs == ref.crs
+        assert {**ds.provenance, "source": None} == {**ref.provenance, "source": None}
+        for a, b in zip(ds.trajectories, ref.trajectories):
+            assert np.array_equal(a.points, b.points)
+            assert (a.timestamps is None) == (b.timestamps is None)
+            assert a.timestamps is None or np.array_equal(a.timestamps, b.timestamps)
+
 
 class TestGeojsonIngest:
     def make_doc(self):

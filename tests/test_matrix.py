@@ -360,6 +360,23 @@ class TestComputeMatrix:
                 assert compute_matrix(fleet, spec, workers=workers).values.tobytes() == want, name
             assert sizes == [45] + [1] * 45  # the serial run: one failed range, then its pairs
 
+    @pytest.mark.parametrize("name", ["dtw", "sspd", "hausdorff", "erp", "discrete_frechet"])
+    def test_a_non_finite_distance_fails_its_pair(self, name):
+        # Finite points 2e308 apart overflow to inf, or to nan in a projection.
+        fleet = [Trajectory("a", [(0.0, 0.0), (1e308, 0.0)]),
+                 Trajectory("b", [(-1e308, 0.0), (0.0, 0.0)]),
+                 Trajectory("c", [(0.0, 0.0), (1.0, 1.0)])]
+        messages = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for workers in (1, 2):
+                with pytest.raises(MatrixComputationError) as err:
+                    compute_matrix(fleet, name, workers=workers)
+                messages.add(str(err.value))
+        (message,) = messages
+        assert message.startswith(f"{DistanceSpec(name).render()} failed on 3 pair(s): "
+                                  "('a', 'b'): non-finite distance ")
+        assert "('a', 'c'): non-finite distance inf; ('b', 'c'): non-finite distance " in message
+
     def test_failure_report_is_capped(self):
         fleet = small_fleet(n=12)
         stuck = Trajectory(id="stuck", points=[(1.0, 1.0), (1.0, 1.0)])

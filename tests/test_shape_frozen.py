@@ -2,7 +2,8 @@
 copies of the numpy-indexed free-space decision and candidate search, the
 per-segment owd loop and the unblocked point-to-carrier calls they
 replaced; and the batch kernels of frechet, sspd, hausdorff and sowd, and
-their matrix entries, against the same frozen copies."""
+their matrix entries, against the same frozen copies, frechet against the
+exact critical-value sweep over the frozen decision."""
 
 import tracemalloc
 
@@ -17,8 +18,8 @@ from trajkit.sspd import sspd_batch
 from trajkit.warping import PointStore
 
 from conftest import smooth_walk, walk_trajectory
-from oracles import (FrozenFreeSpace, frozen_frechet, frozen_hausdorff, frozen_owd, frozen_sowd,
-                     frozen_spd, frozen_sspd)
+from oracles import (FrozenFreeSpace, exact_frechet, frozen_frechet, frozen_hausdorff, frozen_owd,
+                     frozen_sowd, frozen_spd, frozen_sspd)
 
 
 def walks(seed: int, count: int, span: float = 4.0) -> list[np.ndarray]:
@@ -59,9 +60,9 @@ def pairs(seed: int, count: int):
     return [(a, b) for a in seqs for b in seqs[::5]] + DEGENERATE + [(b, a) for a, b in DEGENERATE]
 
 
-def test_frechet_equals_the_frozen_search_probe_for_probe(monkeypatch):
-    # The search's memo answers most probes from the radii a real decision
-    # rejected and accepted: every decision that does run agrees with the
+def test_frechet_is_the_exact_value_and_runs_only_frozen_decisions(monkeypatch):
+    # The value is the exact oracle's and within 1e-12 relative of the
+    # frozen search's bisection; every decision that runs agrees with the
     # frozen one, and no pair runs more of them than the frozen search.
     probes = []
     feasible = shape._FreeSpace.feasible
@@ -71,43 +72,34 @@ def test_frechet_equals_the_frozen_search_probe_for_probe(monkeypatch):
     for a, b in pairs(131, 30):
         frozen = FrozenFreeSpace(a, b)
         probes.clear()
-        assert frechet(a, b) == frozen_frechet(a, b, frozen)
+        d = frechet(a, b)
+        assert d == exact_frechet(a, b)
+        want = frozen_frechet(a, b, frozen)
+        assert abs(d - want) <= 1e-12 * want
         assert len(probes) <= frozen.probes
         assert all(ok is frozen.feasible(eps) for eps, ok in probes)
         counts.append(len(probes))
     assert np.mean(counts) <= 8
 
 
-def test_the_memo_runs_the_decision_strictly_inside_its_bracket(monkeypatch):
-    # Radii at or outside the tightest rejected and accepted ones are
-    # answered from them; any radius strictly between runs the decision.
-    calls = []
-    feasible = shape._FreeSpace.feasible
-    monkeypatch.setattr(shape._FreeSpace, "feasible",
-                        lambda fs, eps: calls.append(eps) or feasible(fs, eps))
-    for a, b in pairs(139, 6):
-        fs = shape._FreeSpace(a, b)
-        d = frechet(a, b)
-        if d == 0.0:
-            continue
-        memo = shape._Memo(fs)
-        for eps, runs in [(0.5 * d, True), (2.0 * d, True), (0.25 * d, False), (0.5 * d, False),
-                          (2.0 * d, False), (3.0 * d, False), (np.nextafter(0.5 * d, np.inf), True),
-                          (np.nextafter(2.0 * d, 0.0), True), (d, True), (np.nan, True),
-                          (d, False)]:
-            calls.clear()
-            assert memo.feasible(eps) is feasible(fs, eps)
-            assert len(calls) == runs, (eps, memo.lo, memo.hi)
+def test_frechet_of_near_identical_walks_is_at_most_the_discrete_value():
+    # Walks 1e-9 apart lie closer than the free space resolves; the
+    # discrete Frechet distance still bounds the value from above.
+    rng = np.random.default_rng(7)
+    for k in range(300):
+        a = smooth_walk(rng, 2 + k % 29)
+        b = a + rng.normal(0.0, 1e-9, a.shape)
+        assert frechet(a, b) <= discrete_frechet(a, b)
 
 
 def test_feasibility_is_monotone_in_the_radius():
-    # What the memo relies on: along a sorted sweep through every radius
-    # where the decision can switch, it never goes from True back to False.
+    # What the binary search relies on: along a sorted sweep through every
+    # radius where the decision can switch, it never goes from True back to False.
     for a, b in pairs(137, 15):
         fs = shape._FreeSpace(a, b)
         near = fs.near()
         crit = fs.critical_values(near, 0.0, np.inf)
-        radii = np.concatenate([fs.candidates(near), crit, [frechet(a, b)]])
+        radii = np.concatenate([FrozenFreeSpace(a, b).candidates(), crit, [frechet(a, b)]])
         switch = crit / (1.0 + 1e-12)
         radii = np.concatenate([radii, np.nextafter(radii, -np.inf), np.nextafter(radii, np.inf),
                                 switch * (1.0 - 1e-14), switch * (1.0 + 1e-14)])
@@ -117,15 +109,17 @@ def test_feasibility_is_monotone_in_the_radius():
 
 @pytest.mark.parametrize("band", [1, 7, shape._BAND])
 def test_feasibility_equals_the_frozen_decision_at_candidate_values(band, monkeypatch):
-    # Radii exactly at the candidates, at the answer and one ulp either side
-    # of both, a sweep of 41 radii and NaN: the radius inflation and every
+    # Radii exactly at the old per-cell candidates and at the critical
+    # values frechet searches, at the answer and one ulp either side of
+    # each, a sweep of 41 radii and NaN: the radius inflation and every
     # interval edge are exercised. The decision computes its intervals in
     # bands of one row, of rows that split the diagram unevenly, and whole.
     monkeypatch.setattr(shape, "_BAND", band)
     for a, b in pairs(137, 15):
         frozen = FrozenFreeSpace(a, b)
         d = frechet(a, b)
-        radii = [*frechet_candidates(a, b).tolist(), d, 0.5 * d, 2.0 * d, -1.0, 0.0]
+        radii = [*frozen.candidates().tolist(), *frechet_candidates(a, b).tolist(),
+                 d, 0.5 * d, 2.0 * d, -1.0, 0.0]
         radii += [np.nextafter(r, s) for r in radii[:-2] for s in (-np.inf, np.inf)]
         radii += np.linspace(0.0, 1.5 * d + 0.1, 41).tolist() + [np.nan]
         for eps in radii:
@@ -248,7 +242,7 @@ def test_owd_rejects_zero_length_input_like_the_frozen_loop():
             frozen_owd(a, b)
 
 
-@pytest.mark.parametrize("name, frozen", [("frechet", frozen_frechet), ("sowd", frozen_sowd),
+@pytest.mark.parametrize("name, frozen", [("frechet", exact_frechet), ("sowd", frozen_sowd),
                                          ("sspd", frozen_sspd), ("hausdorff", frozen_hausdorff)])
 def test_matrix_entries_equal_the_frozen_kernels_at_any_worker_count(name, frozen):
     rng = np.random.default_rng(163)
@@ -272,7 +266,7 @@ def batch_fleet() -> list[np.ndarray]:
 
 
 BATCHES = [
-    ("frechet", frechet_batch, frozen_frechet),
+    ("frechet", frechet_batch, exact_frechet),
     ("sspd", sspd_batch, frozen_sspd),
     ("hausdorff", hausdorff_batch, frozen_hausdorff),
     ("sowd", lambda store, ia, ib: sowd_batch(store, ia, ib, owd_samples(store, 1.7)),
