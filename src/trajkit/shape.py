@@ -278,36 +278,51 @@ def frechet_feasible(t1, t2, eps: float) -> bool:
 
 
 def _frechet_pair(p: np.ndarray, q: np.ndarray, upper: float) -> float:
-    """The smallest critical value between the pair's lower bound and
-    ``upper``, its discrete Frechet distance, that the decision accepts.
+    """The smallest of the critical values from the pair's lower bound up to
+    ``upper``, its discrete Frechet distance, and ``upper`` itself that the
+    decision accepts; ``upper`` where the bounds meet or it accepts none.
+    The lower bound's decision runs before any type-(c) value is enumerated.
 
-    The lower bound is the first critical value, so its decision runs
-    before any type-(c) value is enumerated. Where the decision accepts
-    none, the walks lie closer than the free space resolves, and ``upper``
-    is returned: it is a true upper bound.
+    The decision switches about 1e-12 below a value it computes well. If it
+    also accepts 2e-12 below the value found (and above the previous one, or
+    the endpoint distance), rounding has moved the switch (``disc`` cancels
+    when a vertex lies close to a long segment): it is bisected to 1e-12.
 
-    The binary search is sound because the decision is monotone in ``eps``
-    under IEEE rounding. The endpoint tests are plain comparisons with
-    ``eps``. Elementwise, ``eps2``, ``disc`` and ``root`` grow with ``eps``
-    (each a correctly rounded, monotone operation on it), so every
-    interval's ``lo`` only falls and its ``hi`` only rises. Reachable
-    intervals, built from those with ``max`` and the same tests, therefore
-    only grow, and so does the final test at the far corner.
+    Both searches rely on the decision being monotone in ``eps`` under IEEE
+    rounding. The endpoint tests are plain comparisons with ``eps``.
+    Elementwise, ``eps2``, ``disc`` and ``root`` grow with ``eps`` (each a
+    correctly rounded, monotone operation on it), so every interval's ``lo``
+    only falls and its ``hi`` only rises. Reachable intervals, built from
+    those with ``max`` and the same tests, only grow, as does the final test.
     """
     fs = _FreeSpace(p, q)
     near = fs.near()
     lower = _lower_bound(fs, near)
-    if upper <= lower or fs.feasible(lower):
-        return min(lower, upper)
-    crit = fs.critical_values(near, lower, upper)
-    lo_i, hi_i = 0, len(crit)  # crit[0] is lower, rejected; len(crit) stands for upper
-    while hi_i - lo_i > 1:
-        mid = (lo_i + hi_i) // 2
-        if fs.feasible(float(crit[mid])):
-            hi_i = mid
+    if upper <= lower:
+        return upper
+    if fs.feasible(lower):
+        lo, value = max(fs.d_start, fs.d_end), lower
+    else:
+        crit = np.unique(np.append(fs.critical_values(near, lower, upper), upper))
+        lo_i, hi_i = 0, len(crit)  # crit[0] is lower, rejected; len(crit): none accepted
+        while hi_i - lo_i > 1:
+            mid = (lo_i + hi_i) // 2
+            if fs.feasible(float(crit[mid])):
+                hi_i = mid
+            else:
+                lo_i = mid
+        if hi_i == len(crit):
+            return upper
+        lo, value = float(crit[lo_i]), float(crit[hi_i])
+    hi = value * (1.0 - 2e-12)
+    if not (lo < hi and fs.feasible(hi)):
+        return value
+    while hi - lo > 1e-12 * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if fs.feasible(mid):
+            hi = mid
         else:
-            lo_i = mid
-    return float(crit[hi_i]) if hi_i < len(crit) else upper
+            lo = mid
+    return hi
 
 
 def frechet_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
@@ -326,7 +341,8 @@ def frechet(t1, t2) -> float:
     from two vertices of one curve to the point of a segment of the other
     equidistant to both. This is the smallest one that the free-space
     decision accepts, found by a binary search between the pair's lower
-    bound and its discrete Frechet distance, which caps it.
+    bound and its discrete Frechet distance, which caps it; or, where
+    rounding moves the decision's switch off that value, the switch.
     """
     return warping.on_pair(frechet_batch, None, t1, t2)
 

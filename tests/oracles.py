@@ -413,7 +413,12 @@ def exact_frechet(t1, t2) -> float:
     the distance from the point equidistant to two vertices k < l of the
     other curve, where it lies on the segment. A linear sweep upward from
     the lower bound (the endpoints and each vertex's nearest segment),
-    capped at the discrete Frechet distance."""
+    capped at the discrete Frechet distance, the last radius it tries.
+
+    Where the decision also accepts a radius 2e-12 below the value found,
+    above the previous value of the sweep (the endpoint distance, for the
+    lower bound), rounding has moved the decision's switch off the critical
+    values; the switch is then bisected to 1e-12 relative instead."""
     fs = FrozenFreeSpace(t1, t2)
     values = [fs.d_start, fs.d_end]
     lower = max(values)
@@ -436,11 +441,27 @@ def exact_frechet(t1, t2) -> float:
                     if 0.0 <= t <= 1.0:
                         values.append(math.sqrt(max(a * t * t + b[k][s] * t + c[k][s], 0.0)))
     cap = scalar_discrete_frechet(t1, t2)
-    for value in sorted(set(values)):
+    if cap <= lower:
+        return cap
+    previous = max(fs.d_start, fs.d_end)
+    for value in sorted(set(values) | {cap}):
         if value > cap:
             break
-        if value >= lower and fs.feasible(value):
+        if value < lower:
+            continue
+        if not fs.feasible(value):
+            previous = value
+            continue
+        lo, hi = previous, value * (1.0 - 2e-12)
+        if not (lo < hi and fs.feasible(hi)):
             return value
+        while hi - lo > 1e-12 * hi and lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if fs.feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
     return cap
 
 

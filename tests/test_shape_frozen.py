@@ -92,6 +92,45 @@ def test_frechet_of_near_identical_walks_is_at_most_the_discrete_value():
         assert frechet(a, b) <= discrete_frechet(a, b)
 
 
+def overlapping_pairs():
+    """Walks along each other, sampled differently, offset by 1e-2 to 1e-7
+    of a segment's length: a segment of length 10 against a three-point
+    walk beside it, turned and shifted, with the offset as its value; and
+    smooth walks against a copy with every segment halved, shifted."""
+    out = []
+    rng = np.random.default_rng(173)
+    for rel in 10.0 ** -np.arange(2, 8):
+        h = 10.0 * rel
+        for turn, shift in [(0.0, (0.0, 0.0)), (0.3, (1.0, 2.0)), (1.1, (-3.0, 7.5)),
+                            (2.0, (100.0, -50.0))]:
+            rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+            a = np.array([(0.0, 0.0), (10.0, 0.0)]) @ rot.T + shift
+            b = np.array([(0.0, h), (5.0, h), (10.0, h)]) @ rot.T + shift
+            out.append((a, b, h))
+        a = smooth_walk(rng, 8)
+        halves = np.insert(a, np.arange(1, len(a)), 0.5 * (a[:-1] + a[1:]), axis=0)
+        out.append((a, halves + rel * rng.normal(size=2), None))
+    return out
+
+
+def test_frechet_of_nearly_overlapping_walks_is_the_decisions_switch():
+    # Where a vertex lies within about 1e-2 of a segment's length from it,
+    # the decision's disc cancels and its switch leaves the critical values
+    # by more than its 1e-12 inflation. The value is then the switch, as
+    # the frozen bisection finds it, and not the next critical value: for
+    # the segment against the three-point walk, that is about 2.5.
+    for a, b, h in overlapping_pairs():
+        frozen = FrozenFreeSpace(a, b)
+        want = frozen_frechet(a, b, frozen)
+        d = frechet(a, b)
+        assert d == exact_frechet(a, b)
+        assert frozen.feasible(d) and not frozen.feasible(d * (1.0 - 3e-12))
+        # The frozen bisection stops within 1e-12 of its bracket's top.
+        assert abs(d - want) <= 1e-12 * (want + frozen.candidates().max())
+        if h is not None:
+            assert abs(d - h) <= 1e-2 * h
+
+
 def test_feasibility_is_monotone_in_the_radius():
     # What the binary search relies on: along a sorted sweep through every
     # radius where the decision can switch, it never goes from True back to False.
@@ -252,6 +291,9 @@ def test_matrix_entries_equal_the_frozen_kernels_at_any_worker_count(name, froze
         assert compute_matrix(fleet, name, workers=workers).values.tobytes() == serial.values.tobytes()
     for i, j in zip(*np.triu_indices(len(fleet), 1)):
         assert serial.values[i, j] == frozen(fleet[i].points, fleet[j].points)
+        if name == "frechet":
+            want = frozen_frechet(fleet[i].points, fleet[j].points)
+            assert abs(serial.values[i, j] - want) <= 1e-12 * want
 
 
 def batch_fleet() -> list[np.ndarray]:
@@ -293,6 +335,9 @@ def test_batch_kernels_equal_the_frozen_kernels_on_any_flat_range(name, batch, f
         got = batch(store, ia, ib)
         for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
             assert got[k] == frozen(fleet[i], fleet[j]), (name, block, i, j)
+            if name == "frechet":
+                want = frozen_frechet(fleet[i], fleet[j])
+                assert abs(got[k] - want) <= 1e-12 * want, (block, i, j)
 
 
 @pytest.mark.parametrize("name", ["sspd", "hausdorff", "sowd"])
