@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .clustering import LINKAGES, affinity_propagation, criteria, cut, exemplar, hca
+from .clustering import LINKAGES, _criteria_sweep, affinity_propagation, cut, exemplar, hca
 from .dataset import (BundleSpec, ingest, load_dataset, read_json, save_dataset, synth, write_csv,
                       write_json)
 from .matrix import (DISTANCE_NAMES, DistanceSpec, MatrixComputationError, compute_matrix,
@@ -194,10 +194,10 @@ def _cmd_criteria(args: argparse.Namespace) -> int:
     if not 1 <= args.k_min <= args.k_max <= len(m):
         raise ValueError(f"criteria: need 1 <= k-min <= k-max <= {len(m)}")
     dend = hca(m, linkage=args.linkage)
-    crits = {k: criteria(cut(dend, k), m) for k in range(args.k_min, args.k_max + 1)}
+    ks = range(args.k_min, args.k_max + 1)
     write_csv(args.output, ["k", "bc", "wc", "exemplar_ids"],
               ([k, repr(c.bc), repr(c.wc), "|".join(m.ids[e] for e in c.exemplars)]
-               for k, c in crits.items()))
+               for k, c in zip(ks, _criteria_sweep(dend, m, ks))))
     print(f"criteria for k in [{args.k_min}, {args.k_max}] ({args.linkage}) -> {args.output}")
     return 0
 

@@ -35,6 +35,7 @@ __all__ = [
 LINKAGES = ("single", "average", "weighted", "ward")
 
 _BLOCK = 1 << 16  # cells of each n x n message array that one AP step works on at a time
+_COMPACT_MIN = 64  # hca drops its retired rows only from working matrices larger than this
 
 
 def _values(m: DistanceMatrix | np.ndarray, name: str, symmetric: bool = False) -> np.ndarray:
@@ -117,7 +118,9 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
 
     Each row's nearest active column is cached, so a merge costs O(n)
     plus a rescan of the rows whose cached neighbour took part in it,
-    instead of a scan of the whole matrix.
+    instead of a scan of the whole matrix. A working matrix of more than
+    64 rows drops its retired rows and columns each time half of them have
+    retired, keeping their order, so the merges are those of the full matrix.
 
     Parameters
     ----------
@@ -138,19 +141,31 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     cluster_id = list(range(n))
     # nn[r] is the lowest column holding row r's minimum and nd[r] that
     # minimum, so argmin(nd) and then nn pick the pair i < j that a row-major
-    # argmin over the symmetric matrix would. A retired column holds inf, and
-    # a retired row has nn = -1 and nd = inf, so no update, rescan or argmin
-    # reads it.
+    # argmin over the symmetric matrix would. A retired row has nn = -1 and
+    # nd = inf, and its column reads as inf (written so in a small matrix,
+    # masked so wherever a row of a large one is read), so no update, rescan
+    # or argmin reads it.
     nn = work.argmin(axis=1)
     nd = work.min(axis=1)
+    retired = np.zeros(n, dtype=bool)
     steps: list[MergeStep] = []
     for step in range(n - 1):
+        if work.shape[0] > _COMPACT_MIN and 2 * (n - step) <= work.shape[0]:
+            # Half the rows have retired: keep only the live ones, in order,
+            # so row and column order (hence every tie) is unchanged.
+            live = (~retired).nonzero()[0]
+            at = np.full(work.shape[0], -1)
+            at[live] = np.arange(live.size)
+            work = work.take(live, axis=0).take(live, axis=1)
+            sizes, nn, nd = sizes[live], at[nn[live]], nd[live]
+            cluster_id = [cluster_id[r] for r in live.tolist()]
+            retired = np.zeros(live.size, dtype=bool)
+        large = work.shape[0] > _COMPACT_MIN
         i = int(nd.argmin())
         j = int(nn[i])
         d_ij = work[i, j]
         height = math.sqrt(max(d_ij, 0.0)) if linkage == "ward" else float(d_ij)
         si, sj = sizes[i], sizes[j]
-        # Whole rows: inf in the retired columns stays inf.
         if linkage == "single":
             new = np.minimum(work[i], work[j])
         elif linkage == "average":
@@ -160,22 +175,28 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
         else:  # ward, on squared dissimilarities
             new = ((si + sizes) * work[i] + (sj + sizes) * work[j] - sizes * d_ij) / (si + sj + sizes)
         new[i] = new[j] = np.inf
+        retired[j] = True
+        if large:  # mask the retired columns wherever a row is read
+            np.putmask(new, retired, np.inf)
+        else:  # a small matrix: one strided write costs less than the masks
+            work[:, j] = np.inf
         work[i] = new
         work[:, i] = new
-        work[:, j] = np.inf
         steps.append(MergeStep(cluster_id[i], cluster_id[j], height, int(si + sj)))
         sizes[i] += sj
         cluster_id[i] = n + step
         nn[j] = -1
         nd[j] = np.inf
-        # Outside rows i and j only column i changed (column j went to inf),
-        # so a row whose neighbour was neither keeps it unless the new entry
+        # Outside rows i and j only column i changed (column j retired), so
+        # a row whose neighbour was neither keeps it unless the new entry
         # beats it or ties it from a lower column; the others are rescanned.
         stale = ((nn == i) | (nn == j)).nonzero()[0]
         closer = ((new < nd) | ((new == nd) & (nn > i))).nonzero()[0]
         nn[closer] = i
         nd[closer] = new[closer]
         rows = work.take(stale, axis=0)
+        if large:
+            np.copyto(rows, np.inf, where=retired)
         nn[stale] = rows.argmin(axis=1)
         nd[stale] = rows.min(axis=1)
     return Dendrogram(n, linkage, tuple(steps))
@@ -410,17 +431,39 @@ def criteria(assignment: ClusterAssignment, m: DistanceMatrix | np.ndarray) -> C
     exemplar to its members (0 when every item is its own cluster).
     """
     vals = _values(m, "criteria")
-    labels = assignment.labels
-    if labels.size != vals.shape[0]:
+    return _criteria(assignment, vals, _central(np.arange(vals.shape[0]), vals), {})
+
+
+def _criteria(assignment: ClusterAssignment, vals: np.ndarray, global_ex: int,
+              memo: dict[bytes, tuple[int, float]]) -> CriteriaResult:
+    """:func:`criteria` on the values of a matrix already checked, given its
+    global exemplar. ``memo`` maps a member set (its index bytes) to its
+    exemplar and mean distance to members; calls on the same values may
+    share it, since both depend on the members alone."""
+    if assignment.labels.size != vals.shape[0]:
         raise ValueError("criteria: assignment and matrix size differ")
-    global_ex = _central(np.arange(vals.shape[0]), vals)
     bc = 0.0
     wc = 0.0
     exs: list[int] = []
     for c in range(assignment.k):
         members = assignment.members(c)
-        ex = _central(members, vals)
+        key = members.tobytes()
+        if key not in memo:
+            ex = _central(members, vals)
+            memo[key] = ex, float(vals[ex, members].mean())
+        ex, within = memo[key]
         exs.append(ex)
         bc += float(vals[global_ex, ex])
-        wc += float(vals[ex, members].mean())
+        wc += within
     return CriteriaResult(bc, wc, global_ex, tuple(exs))
+
+
+def _criteria_sweep(dendrogram: Dendrogram, m: DistanceMatrix | np.ndarray,
+                    ks: Sequence[int]) -> list[CriteriaResult]:
+    """``criteria(cut(dendrogram, k), m)`` for each k of ``ks``, with the
+    global exemplar found once and each cluster's exemplar found once for
+    all the cuts that hold that cluster."""
+    vals = _values(m, "criteria")
+    global_ex = _central(np.arange(vals.shape[0]), vals)
+    memo: dict[bytes, tuple[int, float]] = {}
+    return [_criteria(cut(dendrogram, k), vals, global_ex, memo) for k in ks]

@@ -37,6 +37,7 @@ __all__ = [
 
 _MAGIC = b"TRJD"
 _VERSION = 1
+_BAND = 64  # rows of a matrix that its symmetry check compares with their transpose at a time
 
 #: Distance name -> (batch kernel over a PointStore, the DistanceSpec
 #: fields passed to it as parameters).
@@ -152,7 +153,10 @@ class DistanceMatrix:
             raise ValueError("distance matrix values must be non-negative")
         if np.any(np.diag(vals) != 0):
             raise ValueError("distance matrix diagonal must be zero")
-        if not np.array_equal(vals, vals.T):
+        # Band by band, so the transpose is read in cache-sized blocks.
+        n = vals.shape[0]
+        if not all((vals[b0:b0 + _BAND, :b0 + _BAND] == vals[:b0 + _BAND, b0:b0 + _BAND].T).all()
+                   for b0 in range(0, n, _BAND)):
             raise ValueError("distance matrix must be symmetric")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

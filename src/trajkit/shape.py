@@ -53,7 +53,7 @@ def hausdorff(t1, t2) -> float:
     returned, as traj-dist computes it. The max-min distance between the
     continuous polylines can be larger, as its maximum can lie inside a segment.
     """
-    return warping.on_pair(hausdorff_batch, None, t1, t2)
+    return warping.on_pair(hausdorff_batch, "hausdorff", t1, t2)
 
 
 def discrete_frechet(t1, t2) -> float:
@@ -62,7 +62,7 @@ def discrete_frechet(t1, t2) -> float:
     Smallest over all monotone couplings of the two vertex sequences of the
     largest paired point distance.
     """
-    return warping.on_pair(warping.coupling_batch, "discrete_frechet", t1, t2)
+    return warping.on_pair(warping.coupling_batch, "discrete_frechet", t1, t2, nonempty=True)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def frechet(t1, t2) -> float:
     bound and its discrete Frechet distance, which caps it; or, where
     rounding moves the decision's switch off that value, the switch.
     """
-    return warping.on_pair(frechet_batch, None, t1, t2)
+    return warping.on_pair(frechet_batch, "frechet", t1, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +443,12 @@ def _check_samples(store: PointStore, samples: OwdSamples, ia: np.ndarray, ib: n
         raise ValueError(f"owd: too many samples at {samples.samples_per_unit!r} per unit length")
 
 
-def _owd_pair(t1, t2, samples_per_unit: float) -> tuple[PointStore, OwdSamples]:
-    """The pair packed and sampled, with owd's checks on the pair (t1, t2)."""
-    store = PointStore.pack([t1, t2])
+def _pair_samples(store: PointStore, samples_per_unit) -> OwdSamples:
+    """The samples of the one pair packed in ``store``, with owd's checks on it."""
     store.require_carriers(*_PAIR, "owd: needs trajectories with at least 2 points")
     samples = owd_samples(store, check_density(samples_per_unit, "owd"))
     _check_samples(store, samples, *_PAIR)
-    return store, samples
+    return samples
 
 
 def sowd_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray, samples: OwdSamples) -> np.ndarray:
@@ -477,12 +476,21 @@ def owd(t1, t2, samples_per_unit: float = 1.0) -> float:
     samples_per_unit : float
         Sampling density along ``t1``, positive and finite.
     """
-    store, samples = _owd_pair(t1, t2, samples_per_unit)
+    return warping.on_pair(_owd_pair, "owd", t1, t2, samples_per_unit)
+
+
+def _owd_pair(store: PointStore, ia: np.ndarray, ib: np.ndarray, samples_per_unit) -> np.ndarray:
+    """owd of the one pair packed in ``store``, (ia, ib) = (0, 1)."""
+    samples = _pair_samples(store, samples_per_unit)
     near = carrier_distances(samples.points[0], store[1], (0, len(store[1])))
-    return float(_integrals(samples, near.ravel(), _PAIR[0], np.array([len(near)]))[0])
+    return _integrals(samples, near.ravel(), ia, np.array([len(near)]))
 
 
 def sowd(t1, t2, samples_per_unit: float = 1.0) -> float:
     """Symmetrised one-way distance: mean of owd(t1, t2) and owd(t2, t1)."""
-    store, samples = _owd_pair(t1, t2, samples_per_unit)
-    return float(sowd_batch(store, *_PAIR, samples)[0])
+    return warping.on_pair(_sowd_pair, "sowd", t1, t2, samples_per_unit)
+
+
+def _sowd_pair(store: PointStore, ia: np.ndarray, ib: np.ndarray, samples_per_unit) -> np.ndarray:
+    """sowd of the one pair packed in ``store``."""
+    return sowd_batch(store, ia, ib, _pair_samples(store, samples_per_unit))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_points, carrier_distances, carrier_pairs, window_sums
+from .geometry import carrier_distances, carrier_pairs, window_sums
 from .warping import PointStore, on_pair
 
 __all__ = ["spd", "sspd"]
@@ -48,12 +48,17 @@ def spd(t1, t2) -> float:
     -------
     float
     """
-    a, b = as_points(t1), as_points(t2)
+    return on_pair(_spd_pair, "spd", t1, t2)
+
+
+def _spd_pair(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """spd of the one pair (ia[0], ib[0]) of sequences of ``store``."""
+    a, b = store[int(ia[0])], store[int(ib[0])]
     if a.shape[0] == 0:
         raise ValueError("spd: first trajectory is empty")
     if b.shape[0] < 2:
         raise ValueError("spd: second trajectory needs at least 2 points")
-    return float(_means(carrier_distances(a, b, (0, len(b))).ravel(), None, np.array([len(a)]))[0])
+    return _means(carrier_distances(a, b, (0, len(b))).ravel(), None, np.array([len(a)]))
 
 
 def sspd(t1, t2) -> float:
@@ -62,4 +67,4 @@ def sspd(t1, t2) -> float:
     Symmetric and non-negative by construction; zero iff the two carriers
     pass through each other's observed points.
     """
-    return on_pair(sspd_batch, None, t1, t2)
+    return on_pair(sspd_batch, "sspd", t1, t2)

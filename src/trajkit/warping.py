@@ -13,6 +13,7 @@ single-pair call is a batch of one, so a matrix entry equals it bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -215,12 +216,21 @@ def check_gap(gap, name: str) -> tuple[float, float]:
     return point
 
 
-def on_pair(batch, name: str | None, t1, t2, *params) -> float:
-    """``batch`` run on the one pair (t1, t2); with a ``name``, empty input is rejected."""
+def on_pair(batch, name: str, t1, t2, *params, nonempty: bool = False) -> float:
+    """``batch`` run on the one pair (t1, t2) for the single-pair call
+    ``name``. If ``nonempty``, empty input is rejected. A distance that is
+    not finite, or whose arithmetic overflows a Python float, raises a
+    ValueError naming the call."""
     store = PointStore.pack([t1, t2])
-    if name is not None and not np.diff(store.offsets).all():
+    if nonempty and not np.diff(store.offsets).all():
         raise ValueError(f"{name}: empty input")
-    return float(batch(store, *_PAIR, *params)[0])
+    try:
+        value = float(batch(store, *_PAIR, *params)[0])
+    except OverflowError as exc:
+        raise ValueError(f"{name}: non-finite distance (OverflowError: {exc})") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: non-finite distance {value!r}")
+    return value
 
 
 def dtw(t1, t2) -> float:
@@ -239,7 +249,7 @@ def dtw(t1, t2) -> float:
     -------
     float
     """
-    return on_pair(dtw_batch, "dtw", t1, t2)
+    return on_pair(dtw_batch, "dtw", t1, t2, nonempty=True)
 
 
 def lcss(t1, t2, eps_d: float) -> int:
@@ -253,7 +263,7 @@ def lcss(t1, t2, eps_d: float) -> int:
     int
         Number of matched pairs (a similarity, not a distance).
     """
-    return int(on_pair(lcss_batch, None, t1, t2, check_eps_d(eps_d, "lcss")))
+    return int(on_pair(lcss_batch, "lcss", t1, t2, check_eps_d(eps_d, "lcss")))
 
 
 def dlcss(t1, t2, eps_d: float) -> float:
@@ -262,7 +272,7 @@ def dlcss(t1, t2, eps_d: float) -> float:
     Ranges over [0, 1]; 0 when the shorter sequence matches entirely.
     Empty inputs are rejected (the normaliser would vanish).
     """
-    return on_pair(dlcss_batch, "dlcss", t1, t2, check_eps_d(eps_d, "dlcss"))
+    return on_pair(dlcss_batch, "dlcss", t1, t2, check_eps_d(eps_d, "dlcss"), nonempty=True)
 
 
 def edr(t1, t2, eps_d: float) -> int:
@@ -275,7 +285,7 @@ def edr(t1, t2, eps_d: float) -> int:
     -------
     int
     """
-    return int(on_pair(edr_batch, None, t1, t2, check_eps_d(eps_d, "edr")))
+    return int(on_pair(edr_batch, "edr", t1, t2, check_eps_d(eps_d, "edr")))
 
 
 def erp(t1, t2, gap_point) -> float:
@@ -291,4 +301,4 @@ def erp(t1, t2, gap_point) -> float:
     -------
     float
     """
-    return on_pair(erp_batch, None, t1, t2, check_gap(gap_point, "erp"))
+    return on_pair(erp_batch, "erp", t1, t2, check_gap(gap_point, "erp"))

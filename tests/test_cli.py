@@ -8,6 +8,7 @@ from trajkit import (DistanceMatrix, Trajectory, TrajectoryDataset, criteria, cu
                      load_dataset, load_matrix, save_dataset, save_matrix)
 from trajkit.clustering import ClusterAssignment
 from trajkit.cli import main
+from trajkit.dataset import write_csv
 
 
 SPEC = {
@@ -86,6 +87,21 @@ class TestPipeline:
             assert float(row["bc"]) == crit.bc
             assert float(row["wc"]) == crit.wc
             assert row["exemplar_ids"].split("|") == [m.ids[e] for e in crit.exemplars]
+
+    def test_criteria_csv_is_the_one_written_from_one_call_per_cut(self, pipeline, tmp_path):
+        main(["synth", str(pipeline["spec"]), "-o", str(pipeline["dataset"]), "--seed", "3"])
+        main(["matrix", str(pipeline["dataset"]), "-o", str(pipeline["matrix"]),
+              "--distance", "dtw"])
+        assert main(["criteria", str(pipeline["matrix"]), "-o", str(pipeline["criteria"]),
+                     "--k-min", "2", "--k-max", "24"]) == 0
+        m = load_matrix(pipeline["matrix"])
+        dend = hca(m, linkage="ward")
+        rows = []
+        for k in range(2, 25):
+            crit = criteria(cut(dend, k), m)
+            rows.append([k, repr(crit.bc), repr(crit.wc), "|".join(m.ids[e] for e in crit.exemplars)])
+        write_csv(tmp_path / "want.csv", ["k", "bc", "wc", "exemplar_ids"], rows)
+        assert pipeline["criteria"].read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_ap_cluster_command(self, pipeline):
         main(["synth", str(pipeline["spec"]), "-o", str(pipeline["dataset"]), "--seed", "7"])

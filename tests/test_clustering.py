@@ -160,9 +160,26 @@ class TestHca:
         # The cached-neighbour search must pick the same pair as a row-major
         # argmin over the whole matrix and do the same arithmetic, ties
         # included, so every merge and height is identical.
+        # Above clustering._COMPACT_MIN rows the working matrix sheds its
+        # retired rows each time half have retired: twice at n = 150, three
+        # times at n = 300. The shed rows must leave every tie as it was.
         rng = np.random.default_rng(337)
-        cases = [random_dissimilarity(rng, n) for n in list(range(2, 13)) + [25, 40, 60]]
-        cases += [tied_dissimilarity(rng, n) for n in list(range(2, 9)) * 20 + [25, 40, 60]]
+        sizes = list(range(2, 13)) + [25, 40, 60, 150, 300]
+        assert 300 // 4 > clustering._COMPACT_MIN
+        cases = [random_dissimilarity(rng, n) for n in sizes]
+        cases += [tied_dissimilarity(rng, n) for n in list(range(2, 9)) * 20 + [25, 40, 60, 150, 300]]
+        for d in cases:
+            dg = hca(d, linkage=method)
+            assert [(s.left, s.right, s.height, s.size) for s in dg.steps] == scan_hca(d, method)[0]
+
+    @pytest.mark.parametrize("method", LINKAGES)
+    def test_merges_equal_the_full_scan_when_every_size_sheds_rows(self, method, monkeypatch):
+        # With the threshold at 2, matrices of every size mask their retired
+        # columns and shed their retired rows, many times over, ties included.
+        monkeypatch.setattr(clustering, "_COMPACT_MIN", 2)
+        rng = np.random.default_rng(347)
+        cases = [random_dissimilarity(rng, n) for n in range(2, 30)]
+        cases += [tied_dissimilarity(rng, n) for n in list(range(2, 16)) * 10]
         for d in cases:
             dg = hca(d, linkage=method)
             assert [(s.left, s.right, s.height, s.size) for s in dg.steps] == scan_hca(d, method)[0]
@@ -505,3 +522,17 @@ class TestCriteria:
                 assert res.global_exemplar == brute_exemplar(range(n), d)
                 assert res.exemplars == tuple(brute_exemplar(np.flatnonzero(labels == c).tolist(), d)
                                               for c in range(k))
+
+    def test_the_shared_sweep_equals_one_call_per_cut(self):
+        # The sweep finds the global exemplar once and each cluster's
+        # exemplar once for every cut holding that cluster; every result
+        # must still equal criteria's, to the bit, on ties and on floats.
+        rng = np.random.default_rng(401)
+        cases = [(tied_dissimilarity(rng, n), "ward") for n in (5, 13, 30, 120)]
+        blobs, _ = three_blob_points(rng, per=40)
+        cases += [(blobs, linkage) for linkage in LINKAGES]
+        for d, linkage in cases:
+            dg = hca(d, linkage=linkage)
+            n = d.shape[0]
+            for ks in (range(1, n + 1), [n, n // 2 + 1, 1, n // 2 + 1]):
+                assert clustering._criteria_sweep(dg, d, ks) == [criteria(cut(dg, k), d) for k in ks]

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from trajkit import (DistanceMatrix, DistanceSpec, MatrixComputationError,
-                     MatrixFormatError, Trajectory, compute_matrix, dlcss, edr, erp, lcss,
-                     load_matrix, owd, save_matrix, save_matrix_csv, sowd, sspd)
+                     MatrixFormatError, Trajectory, compute_matrix, discrete_frechet, dlcss, dtw,
+                     edr, erp, frechet, hausdorff, lcss, load_matrix, owd, save_matrix,
+                     save_matrix_csv, sowd, spd, sspd)
 from trajkit import matrix, warping
 from trajkit.matrix import DISTANCE_NAMES
 
@@ -376,6 +377,28 @@ class TestComputeMatrix:
         assert message.startswith(f"{DistanceSpec(name).render()} failed on 3 pair(s): "
                                   "('a', 'b'): non-finite distance ")
         assert "('a', 'c'): non-finite distance inf; ('b', 'c'): non-finite distance " in message
+
+    @pytest.mark.parametrize("name, call", [
+        ("sspd", sspd), ("spd", spd), ("hausdorff", hausdorff), ("dtw", dtw),
+        ("discrete_frechet", discrete_frechet), ("frechet", frechet),
+        ("erp", lambda a, b: erp(a, b, (0.0, 0.0)))])
+    def test_a_non_finite_single_pair_distance_names_its_call(self, name, call):
+        # The walks of the matrix test above: their coordinate differences
+        # overflow to inf (nan in a projection), and frechet's Python float
+        # arithmetic raises OverflowError; each call reports it by name.
+        a, b = [(0.0, 0.0), (1e308, 0.0)], [(-1e308, 0.0), (0.0, 0.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for pair in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match=f"^{name}: non-finite distance "):
+                    call(*pair)
+
+    def test_the_other_single_pair_calls_stay_finite_or_refuse_on_overflowing_walks(self):
+        a, b = [(0.0, 0.0), (1e308, 0.0)], [(-1e308, 0.0), (0.0, 0.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (lcss(a, b, 1.0), dlcss(a, b, 1.0), edr(a, b, 1.0)) == (1, 0.5, 2)
+            for call in (owd, sowd):  # a 1e308-long segment needs too many samples
+                with pytest.raises(ValueError, match="^owd: too many samples at 1.0 per unit length$"):
+                    call(a, b)
 
     def test_failure_report_is_capped(self):
         fleet = small_fleet(n=12)
