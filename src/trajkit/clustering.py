@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrix import DistanceMatrix
+from . import geometry
+from .matrix import DistanceMatrix, _symmetric
 from .warping import integer, real
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
 
 LINKAGES = ("single", "average", "weighted", "ward")
 
-_BLOCK = 1 << 16  # cells of each n x n message array that one AP step works on at a time
 _COMPACT_MIN = 64  # hca drops its retired rows only from working matrices larger than this
 
 
@@ -48,7 +48,7 @@ def _values(m: DistanceMatrix | np.ndarray, name: str, symmetric: bool = False) 
         vals = np.asarray(m, dtype=np.float64)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError(f"{name}: expected a square distance matrix")
-        if not np.isfinite(vals).all() or symmetric and not (vals == vals.T).all():
+        if not np.isfinite(vals).all() or symmetric and not _symmetric(vals):
             raise ValueError(f"{name}: expected a finite {'symmetric ' if symmetric else ''}matrix")
     if vals.shape[0] == 0:
         raise ValueError(f"{name}: empty matrix")
@@ -164,6 +164,8 @@ def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
         i = int(nd.argmin())
         j = int(nn[i])
         d_ij = work[i, j]
+        if not math.isfinite(d_ij):
+            raise ValueError(f"hca: {linkage} linkage overflowed: a merge height is not finite")
         height = math.sqrt(max(d_ij, 0.0)) if linkage == "ward" else float(d_ij)
         si, sj = sizes[i], sizes[j]
         if linkage == "single":
@@ -275,15 +277,14 @@ def affinity_propagation(
     for name, count in (("max_iter", max_iter), ("convergence_iter", convergence_iter)):
         if integer(count) is None or count < 1:
             raise ValueError(f"affinity_propagation: {name} must be an int >= 1, got {count!r}")
-    # The messages are updated a block of whole rows at a time, and a block
-    # of the similarities s = -vals (diagonal: pref) is built in sbuf when it
-    # is needed; so resp and avail are the only n x n arrays held here.
-    rows = min(n, max(1, _BLOCK // n))
+    # The messages are updated a block of whole rows at a time, and s = -vals
+    # (diagonal: pref) is never formed: a + s is a - vals and s - b is
+    # (-b) - vals, bit for bit. So resp and avail are the only n x n arrays held.
+    rows = min(n, max(1, geometry._BLOCK // n))
     blocks = []  # (first row, end row, rows counted from 0, the block's diagonal cells)
     for r0 in range(0, n, rows):
         i = np.arange(min(rows, n - r0))
         blocks.append((r0, r0 + i.size, i, (i, i + r0)))
-    sbuf = np.empty((rows, n))
     if isinstance(preference, str):
         if preference != "min-similarity":
             raise ValueError(f"unknown preference {preference!r}; pass a number or 'min-similarity'")
@@ -316,17 +317,16 @@ def affinity_propagation(
     for n_iter in range(1, max_iter + 1):
         # responsibilities: how strongly i favours k over the runner-up
         for r0, r1, i, diag in blocks:
-            s = sbuf[:r1 - r0]
-            np.negative(vals[r0:r1], out=s)
-            s[diag] = pref
             tmp = tbuf[1:r1 - r0 + 1]
-            np.add(avail[r0:r1], s, out=tmp)
+            np.subtract(avail[r0:r1], vals[r0:r1], out=tmp)
+            tmp[diag] = avail[r0:r1][diag] + pref
             best = tmp.argmax(axis=1)
             best_val = tmp[i, best]
             tmp[i, best] = -np.inf
             second_val = tmp.max(axis=1)
-            np.subtract(s, best_val[:, None], out=tmp)
-            tmp[i, best] = s[i, best] - second_val
+            np.subtract(-best_val[:, None], vals[r0:r1], out=tmp)
+            tmp[diag] = pref - best_val
+            tmp[i, best] = np.where(best == i + r0, pref, -vals[i + r0, best]) - second_val
             r = resp[r0:r1]
             r *= damping
             tmp *= 1.0 - damping
@@ -370,9 +370,9 @@ def affinity_propagation(
         ex = np.array([int(np.argmax(avail.diagonal() + resp.diagonal()))])
         converged = False
 
-    s_ex = -vals[:, ex]
-    s_ex[ex, np.arange(ex.size)] = pref
-    labels = (s_ex + avail[:, ex]).argmax(axis=1)
+    a_ex = avail[:, ex] - vals[:, ex]
+    a_ex[ex, np.arange(ex.size)] = avail[ex, ex] + pref
+    labels = a_ex.argmax(axis=1)
     for pos, e in enumerate(ex):
         labels[e] = pos
     return APResult(

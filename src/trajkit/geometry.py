@@ -142,9 +142,7 @@ def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) 
     return e.T if inner else e
 
 
-#: Values per array of the carrier kernels: point-segment pairs per
-#: segment_distances call, and distances per tile (512 KiB of float64).
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # float64 values per temporary array of every blocked pass (512 KiB)
 
 
 def carrier_distances(points: np.ndarray, xy: np.ndarray, bounds) -> np.ndarray:

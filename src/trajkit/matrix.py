@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import multiprocessing
 import signal
 import struct
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import shape, sspd, warping
+from . import geometry, shape, sspd, warping
 from .dataset import write_csv
 from .geometry import Trajectory
 
@@ -37,7 +36,6 @@ __all__ = [
 
 _MAGIC = b"TRJD"
 _VERSION = 1
-_BAND = 64  # rows of a matrix that its symmetry check compares with their transpose at a time
 
 #: Distance name -> (batch kernel over a PointStore, the DistanceSpec
 #: fields passed to it as parameters).
@@ -153,16 +151,20 @@ class DistanceMatrix:
             raise ValueError("distance matrix values must be non-negative")
         if np.any(np.diag(vals) != 0):
             raise ValueError("distance matrix diagonal must be zero")
-        # Band by band, so the transpose is read in cache-sized blocks.
-        n = vals.shape[0]
-        if not all((vals[b0:b0 + _BAND, :b0 + _BAND] == vals[:b0 + _BAND, b0:b0 + _BAND].T).all()
-                   for b0 in range(0, n, _BAND)):
+        if not _symmetric(vals):
             raise ValueError("distance matrix must be symmetric")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+
+def _symmetric(vals: np.ndarray) -> bool:
+    """Whether the square ``vals`` equals its transpose, read a band of rows at a time."""
+    band = max(1, geometry._BLOCK // max(1, vals.shape[0]))
+    return all((vals[b0:b0 + band, :b0 + band] == vals[:b0 + band, b0:b0 + band].T).all()
+               for b0 in range(0, vals.shape[0], band))
 
 
 def _adopted(ids: tuple, kind: str, values: np.ndarray) -> DistanceMatrix:
@@ -292,6 +294,7 @@ def compute_matrix(
     failures = []
     executor, broken = contextlib.nullcontext(), ()  # a serial run has no pool to break
     if workers > 1 and npairs > 0:
+        import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                        _init_worker, (job,))

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from . import warping
+from . import geometry, warping
 from .geometry import as_points, carrier_distances, carrier_pairs, segment_lengths, window_sums
 from .warping import _PAIR, PointStore
 
@@ -74,11 +74,11 @@ def _boundary_coefficients(p: np.ndarray, q: np.ndarray, dq: np.ndarray) -> tupl
     """b[i, j] = 2 (q[j] - p[i]) . dq[j] and c[i, j] = |q[j] - p[i]|^2: the
     linear and constant terms of the boundaries pairing vertex i of p with
     segment j of q. The (rows, m-1, 2) differences exist for a band of about
-    _CELLS cells at a time; einsum gives each element the same bits on a
-    band as on the whole array."""
+    geometry._BLOCK cells at a time; einsum gives each element the same bits
+    on a band as on the whole array."""
     b = np.empty((p.shape[0], dq.shape[0]))
     c = np.empty_like(b)
-    band = max(1, _CELLS // q.shape[0])
+    band = max(1, geometry._BLOCK // q.shape[0])
     for i0 in range(0, p.shape[0], band):
         w = q[:-1][None, :, :] - p[i0:i0 + band, None, :]
         np.einsum("ijc,jc->ij", w, dq, out=b[i0:i0 + band])
@@ -223,17 +223,16 @@ class _FreeSpace:
         return np.unique(vals[(vals >= lo) & (vals <= hi)])
 
 
-_TRIPLES = 1 << 16  # (vertex pair, segment) type-(c) values computed in one step
 _BAND = 1 << 10  # cells whose boundary intervals a decision computes in one step
-_CELLS = 1 << 16  # cells whose free-space coefficients are built in one step
+_SAMPLES = 1 << 22  # owd samples one sequence may take (64 MiB of points)
 
 
 def _equidistant(a2: np.ndarray, b: np.ndarray, c: np.ndarray, lo: float, hi: float) -> list:
     """Type-(c) values in [lo, hi] on segments with squared lengths ``a2``,
     against the vertices whose quadratics a2*t^2 + b[k]*t + c[k] the rows
-    of b and c hold; in blocks of segments of about _TRIPLES values."""
+    of b and c hold; in blocks of segments of about geometry._BLOCK values."""
     k, l = np.triu_indices(b.shape[0], 1)
-    step = max(1, _TRIPLES // max(1, len(k)))
+    step = max(1, geometry._BLOCK // max(1, len(k)))
     out = []
     for s in range(0, len(a2), step):
         bs, cs = b[:, s:s + step], c[:, s:s + step]
@@ -362,7 +361,7 @@ class OwdSamples:
     ``points[k]``, its pieces ``first[k]:first[k + 1]``; piece g starts at
     sample ``start[g]`` of its sequence and weighs a trapezoid sum by
     ``scale[g]``, its length over its width. ``total`` is each sequence's
-    length; ``ok`` is False where it is zero or cannot be sampled.
+    length; ``ok`` is False where it is zero or needs over _SAMPLES samples.
     ``samples_per_unit`` is the density they were built at.
     """
 
@@ -393,12 +392,11 @@ def owd_samples(store: PointStore, samples_per_unit: float) -> OwdSamples:
     segments = np.delete(np.arange(store.offsets[-1] - 1), seams)  # first vertex of each
     total = window_sums(length, np.cumsum(n - 1) - (n - 1), n - 1)
     owner = np.repeat(np.arange(len(n)), n - 1)
-    x = length * samples_per_unit
-    ok = total > 0.0
-    ok[owner[~(x < 2.0 ** 53)]] = False  # too many samples to hold
+    count = np.where(length != 0.0, np.maximum(7.0, np.ceil(length * samples_per_unit)) + 1.0, 0.0)
+    ok = (total > 0.0) & (np.bincount(owner, count, len(n)) <= _SAMPLES)  # else too many to hold
     keep = (length != 0.0) & ok[owner]
     length, segments, owner = length[keep], segments[keep], owner[keep]
-    width = np.maximum(7, np.ceil(x[keep])).astype(np.int64)
+    width = count[keep].astype(np.int64) - 1
     ends = np.cumsum(width + 1)
     xy = np.empty((int(ends[-1]) if len(ends) else 0, 2))
     for w in np.unique(width).tolist():

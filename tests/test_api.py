@@ -76,6 +76,7 @@ def test_the_library_never_loads_scipy():
 
 def test_only_a_pool_job_imports_the_process_pool():
     assert not loaded_by_a_fresh_import("concurrent.futures.process")
+    assert not loaded_by_a_fresh_import("multiprocessing")
 
 
 def sources():
@@ -132,6 +133,24 @@ def process_name(node: ast.AST) -> str | None:
 def test_only_compute_matrix_starts_worker_processes():
     found = {(name, function) for name, tree in sources() for _, function in sites(tree, process_name)}
     assert found == {("matrix.py", "compute_matrix")}
+
+
+def constant(node: ast.AST):
+    """The value of an expression of number literals and operators, else None."""
+    if not all(isinstance(part, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+               for part in ast.walk(node)):
+        return None
+    return eval(compile(ast.Expression(node), "<constant>", "eval"), {"__builtins__": {}})
+
+
+def test_one_working_set_budget():
+    # Every blocked pass reads geometry._BLOCK when it runs, so a second
+    # 1 << 16 constant would be a second budget.
+    found = [(name, ast.unparse(target)) for name, tree in sources() for node in ast.walk(tree)
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+             and constant(node.value) == 1 << 16
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    assert found == [("geometry.py", "_BLOCK")]
 
 
 def test_the_readme_example_gives_the_values_its_comments_state():

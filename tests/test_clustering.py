@@ -8,7 +8,7 @@ from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
 from trajkit import (APResult, ClusterAssignment, CriteriaResult, DistanceMatrix,
-                     affinity_propagation, clustering, criteria, cut, exemplar, hca)
+                     affinity_propagation, clustering, criteria, cut, exemplar, geometry, hca)
 from trajkit.clustering import LINKAGES
 
 from oracles import allocating_ap, brute_criteria, brute_exemplar, scan_hca
@@ -212,6 +212,27 @@ class TestHca:
                 with pytest.raises(ValueError, match="finite symmetric"):
                     hca(d, linkage=method)
 
+    def test_ward_refuses_distances_whose_squares_overflow(self):
+        # Finite distances of about 1e200: ward's squares overflow, so it
+        # raises; the other linkages stay finite and equal the full scan.
+        pts = np.random.default_rng(0).normal(size=(100, 2)) * 1e200
+        d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+        with pytest.raises(ValueError, match="^hca: ward linkage overflowed: a merge height is not finite$"):
+            hca(d, "ward")
+        for method in ("single", "average", "weighted"):
+            dg = hca(d, method)
+            assert np.isfinite(dg.heights()).all()
+            assert [(s.left, s.right, s.height, s.size) for s in dg.steps] == scan_hca(d, method)[0]
+
+    @pytest.mark.parametrize("method", ["average", "weighted", "ward"])
+    def test_an_update_that_overflows_is_refused(self, method):
+        # After (0, 1) merge at 1, the sum of the two 1.7e308 distances to
+        # item 2 overflows (ward's squares already have).
+        d = squareform([1.0, 1.7e308, 1.7e308])
+        with pytest.raises(ValueError, match=f"^hca: {method} linkage overflowed"):
+            hca(d, method)
+        assert hca(d, "single").heights().tolist() == [1.0, 1.7e308]
+
 
 class TestCut:
     def test_k_equals_one(self):
@@ -334,9 +355,9 @@ class TestAffinityPropagation:
         cloud = three_blob_points(rng, 100)[0]
         budgets = [1, 5] if rows == 1 else [1, 5, 40, 1000]
         cases += [(cloud, {"max_iter": max_iter}) for max_iter in budgets]
-        default = clustering._BLOCK
+        default = geometry._BLOCK
         for d, kwargs in cases:
-            monkeypatch.setattr(clustering, "_BLOCK", default if rows is None else rows * len(d))
+            monkeypatch.setattr(geometry, "_BLOCK", default if rows is None else rows * len(d))
             res = affinity_propagation(d, damping=damping, **kwargs)
             labels, exemplars, converged, n_iter, pref = allocating_ap(d, damping=damping, **kwargs)
             assert res.assignment.labels.tolist() == labels

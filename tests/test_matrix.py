@@ -1,4 +1,5 @@
 import csv
+import itertools
 import multiprocessing
 import os
 import signal
@@ -14,9 +15,9 @@ import pytest
 
 from trajkit import (DistanceMatrix, DistanceSpec, MatrixComputationError,
                      MatrixFormatError, Trajectory, compute_matrix, discrete_frechet, dlcss, dtw,
-                     edr, erp, frechet, hausdorff, lcss, load_matrix, owd, save_matrix,
+                     edr, erp, frechet, hausdorff, hca, lcss, load_matrix, owd, save_matrix,
                      save_matrix_csv, sowd, spd, sspd)
-from trajkit import matrix, warping
+from trajkit import geometry, matrix, warping
 from trajkit.matrix import DISTANCE_NAMES
 
 from conftest import DIRECT, walk_trajectory
@@ -231,6 +232,21 @@ class TestDistanceMatrix:
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             DistanceMatrix(("a", "b"), "dtw", bad)
+
+    @pytest.mark.parametrize("rows", [1, 4, None], ids=["1-row", "4-row", "default"])
+    def test_an_asymmetric_cell_is_found_in_bands_of_any_size(self, rows, monkeypatch):
+        # A DistanceMatrix and a bare array given to hca share one banded
+        # test; bands of 1 and 4 rows of a 9 x 9 matrix, and the whole.
+        if rows is not None:
+            monkeypatch.setattr(geometry, "_BLOCK", rows * 9)
+        for i, j in itertools.permutations(range(9), 2):
+            bad = np.ones((9, 9)) - np.eye(9)
+            bad[i, j] = 2.0
+            with pytest.raises(ValueError, match="^distance matrix must be symmetric$"):
+                DistanceMatrix(tuple("abcdefghi"), "dtw", bad)
+            with pytest.raises(ValueError, match="^hca: expected a finite symmetric matrix$"):
+                hca(bad)
+        assert len(DistanceMatrix(tuple("abcdefghi"), "dtw", np.ones((9, 9)) - np.eye(9))) == 9
 
     def test_validates_zero_diagonal(self):
         bad = np.array([[1.0, 1.0], [1.0, 0.0]])

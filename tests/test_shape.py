@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trajkit import (discrete_frechet, frechet, frechet_feasible, hausdorff,
-                     owd, sowd)
+                     owd, shape, sowd)
 from trajkit.shape import frechet_candidates
 
 from conftest import smooth_walk, walk_pairs, walk_triples
@@ -185,6 +186,25 @@ class TestOwd:
     def test_rejects_too_many_samples(self):
         with pytest.raises(ValueError, match="owd: too many samples at 1e\\+300 per unit length"):
             owd(L_SHAPE, L_SHAPE, samples_per_unit=1e300)
+
+    def test_refuses_a_walk_of_too_many_samples_before_holding_them(self):
+        # About 1e8 samples on each walk's one segment: 1.6 GB of points.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^owd: too many samples at 1e-300 per unit length$"):
+                owd([(0, 0), (1e308, 0)], [(-1e308, 0), (0, 0)], samples_per_unit=1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_the_cap_counts_every_sample_of_a_walk(self, monkeypatch):
+        # Each segment holds its width + 1 samples, both vertices included:
+        # 13 + 13 on the first walk and 14 + 13 on the second; L_SHAPE has 16.
+        monkeypatch.setattr(shape, "_SAMPLES", 26)
+        assert owd([(0.0, 0.0), (12.0, 0.0), (12.0, 12.0)], L_SHAPE) > 0.0
+        with pytest.raises(ValueError, match="^owd: too many samples at 1.0 per unit length$"):
+            owd([(0.0, 0.0), (12.5, 0.0), (12.5, 12.0)], L_SHAPE)
 
 
 @pytest.mark.parametrize("call", [frechet_feasible, frechet_candidates, owd])

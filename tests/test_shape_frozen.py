@@ -165,11 +165,11 @@ def test_feasibility_equals_the_frozen_decision_at_candidate_values(band, monkey
             assert frechet_feasible(a, b, eps) is frozen.feasible(float(eps))
 
 
-@pytest.mark.parametrize("cells", [1, 7 * 30, shape._CELLS])
+@pytest.mark.parametrize("cells", [1, 7 * 30, geometry._BLOCK])
 def test_coefficients_equal_the_frozen_arrays_in_bands_of_any_size(cells, monkeypatch):
     # Bands of one row, of 7 rows against a 30-point walk, and the default,
     # which holds these short walks whole and splits the 400 x 250 pair.
-    monkeypatch.setattr(shape, "_CELLS", cells)
+    monkeypatch.setattr(geometry, "_BLOCK", cells)
     rng = np.random.default_rng(175)
     for a, b in pairs(137, 15) + [(smooth_walk(rng, 400), smooth_walk(rng, 250))]:
         fs, frozen = shape._FreeSpace(a, b), FrozenFreeSpace(a, b)
@@ -181,7 +181,7 @@ def test_critical_values_are_the_same_in_blocks_of_any_size(monkeypatch):
     spaces = [shape._FreeSpace(a, b) for a, b in pairs(137, 15)]
     whole = [fs.critical_values(fs.near(), 0.0, np.inf) for fs in spaces]
     for block in (1, 100):
-        monkeypatch.setattr(shape, "_TRIPLES", block)
+        monkeypatch.setattr(geometry, "_BLOCK", block)
         for fs, want in zip(spaces, whole):
             assert np.array_equal(fs.critical_values(fs.near(), 0.0, np.inf), want)
 
