@@ -11,46 +11,16 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Trajectory
 from .matrix import DistanceSpec, compute_matrix
 
-__all__ = ["BenchReport", "BENCH_DISTANCES", "random_walk_trajectories", "run_bench", "scaling_exponents"]
+__all__ = ["BENCH_DISTANCES", "random_walk_trajectories", "run_bench", "scaling_exponents"]
 
 #: Default distances benchmarked side by side.
 BENCH_DISTANCES = ("frechet", "discrete_frechet", "hausdorff", "dtw", "dlcss", "sspd")
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Wall-clock timings for full matrix jobs.
-
-    Attributes
-    ----------
-    n, points : int
-        Trajectory count and points per trajectory.
-    environment : str
-        Interpreter / platform / CPU note for context.
-    timings : dict
-        Per-distance ``{"serial": seconds, "parallel": seconds}``
-        (parallel only when requested).
-    workers : int
-        Worker count used for the parallel column (0 = not measured).
-    """
-
-    n: int
-    points: int
-    environment: str
-    timings: dict
-    workers: int
-
-
-def _environment() -> str:
-    return (f"python {sys.version.split()[0]}, {platform.platform()}, "
-            f"{os.cpu_count()} cpu")
 
 
 def random_walk_trajectories(n: int, points: int, seed: int) -> list[Trajectory]:
@@ -97,8 +67,15 @@ def run_bench(
     distances: tuple[str, ...] = BENCH_DISTANCES,
     workers: int = 0,
     repeats: int = 1,
-) -> BenchReport:
+) -> dict:
     """Time full matrix jobs for each distance on one synthetic dataset.
+
+    Returns the report document that ``trajkit bench`` writes, with keys
+    in this order: ``n`` and ``points`` (the dataset's shape),
+    ``environment`` (interpreter, platform and CPU count), ``timings``
+    (per distance, ``{"serial": seconds}``, plus ``"parallel"`` when
+    measured) and ``workers`` (the parallel column's worker count, 0 when
+    it was not measured).
 
     Parameters
     ----------
@@ -121,7 +98,9 @@ def run_bench(
         if workers > 1:
             row["parallel"] = _time_matrix(trajectories, spec, workers, repeats)
         timings[name] = row
-    return BenchReport(n, points, _environment(), timings, workers if workers > 1 else 0)
+    environment = f"python {sys.version.split()[0]}, {platform.platform()}, {os.cpu_count()} cpu"
+    return {"n": n, "points": points, "environment": environment, "timings": timings,
+            "workers": workers if workers > 1 else 0}
 
 
 def scaling_exponents(

@@ -10,7 +10,6 @@ the single RNG seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -207,11 +206,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report = bench_mod.run_bench(n=args.n, points=args.points, seed=args.seed,
                                  distances=distances, workers=args.workers,
                                  repeats=args.repeats)
-    write_json(args.output, dataclasses.asdict(report))
-    order = sorted(report.timings, key=lambda d: report.timings[d]["serial"])
-    print(f"benchmarked {len(order)} distances on n={args.n} ({report.environment})")
+    write_json(args.output, report)
+    timings = report["timings"]
+    order = sorted(timings, key=lambda d: timings[d]["serial"])
+    print(f"benchmarked {len(order)} distances on n={args.n} ({report['environment']})")
     for name in order:
-        row = report.timings[name]
+        row = timings[name]
         extra = f", parallel {row['parallel']:.3f}s" if "parallel" in row else ""
         print(f"  {name}: serial {row['serial']:.3f}s{extra}")
     print(f"report -> {args.output}")

@@ -108,6 +108,7 @@ class ClusterAssignment:
         return np.flatnonzero(self.labels == c)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the merge-height test refuses an overflow
 def hca(m: DistanceMatrix | np.ndarray, linkage: str = "average") -> Dendrogram:
     """Agglomerative clustering of a distance matrix via Lance-Williams.
 

@@ -356,15 +356,6 @@ class BundleSpec:
         object.__setattr__(self, "points", points)
 
 
-def _along_anchor(anchor: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Points of the anchor polyline at the given arc-length positions."""
-    seg = segment_lengths(anchor)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    x = np.interp(s, cum, anchor[:, 0])
-    y = np.interp(s, cum, anchor[:, 1])
-    return np.column_stack([x, y])
-
-
 def synth(bundles: list[BundleSpec] | BundleSpec, seed: int) -> tuple[TrajectoryDataset, np.ndarray]:
     """Generate a labelled synthetic dataset of bundled trajectories.
 
@@ -385,12 +376,13 @@ def synth(bundles: list[BundleSpec] | BundleSpec, seed: int) -> tuple[Trajectory
     trajectories: list[Trajectory] = []
     labels: list[int] = []
     for b_idx, spec in enumerate(bundles):
-        total = float(segment_lengths(spec.anchor).sum())
+        seg = segment_lengths(spec.anchor)
+        total = float(seg.sum())
+        cum = np.concatenate([[0.0], np.cumsum(seg)])  # arc length at each anchor vertex
         lo, hi = spec.points
         for t_idx in range(spec.count):
-            m = int(rng.integers(lo, hi + 1))
-            s = np.linspace(0.0, total, m)
-            pts = _along_anchor(spec.anchor, s)
+            s = np.linspace(0.0, total, int(rng.integers(lo, hi + 1)))
+            pts = np.column_stack([np.interp(s, cum, spec.anchor[:, k]) for k in (0, 1)])
             if spec.jitter > 0:
                 pts = pts + rng.normal(0.0, spec.jitter, pts.shape)
             trajectories.append(Trajectory(f"b{b_idx}t{t_idx}", pts))

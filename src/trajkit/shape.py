@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import geometry, warping
-from .geometry import as_points, carrier_distances, carrier_pairs, segment_lengths, window_sums
+from .geometry import carrier_distances, carrier_pairs, segment_lengths, window_sums
 from .warping import _PAIR, PointStore
 
 __all__ = [
@@ -26,13 +26,6 @@ __all__ = [
     "owd",
     "sowd",
 ]
-
-
-def _shape_points(t, name: str, min_points: int = 2) -> np.ndarray:
-    pts = as_points(t)
-    if pts.shape[0] < min_points:
-        raise ValueError(f"{name}: needs trajectories with at least {min_points} points")
-    return pts
 
 
 def _maxima(flat: np.ndarray, walks: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -258,22 +251,27 @@ def frechet_candidates(t1, t2) -> np.ndarray:
     """The radii :func:`frechet` searches: the Alt-Godau critical values
     from the pair's lower bound (endpoint and vertex-to-carrier distances)
     up to its discrete Frechet distance, sorted ascending."""
-    a = _shape_points(t1, "frechet")
-    b = _shape_points(t2, "frechet")
-    fs = _FreeSpace(a, b)
+    store = PointStore.pack([t1, t2])
+    store.require_carriers(*_PAIR, "frechet: needs trajectories with at least 2 points")
+    fs = _FreeSpace(store[0], store[1])
     near = fs.near()
-    return fs.critical_values(near, _lower_bound(fs, near), discrete_frechet(a, b))
+    return fs.critical_values(near, _lower_bound(fs, near), discrete_frechet(store[0], store[1]))
 
 
 def frechet_feasible(t1, t2, eps: float) -> bool:
     """Decide whether the two trajectories are within Frechet distance ``eps``.
 
     True when monotone traversals of both polylines exist that never drift
-    further apart than ``eps`` (free-space reachability).
+    further apart than ``eps`` (free-space reachability). ``eps`` must be
+    an int or a float, not a bool or NaN; a negative one is never met and
+    infinity always is.
     """
-    a = _shape_points(t1, "frechet_feasible")
-    b = _shape_points(t2, "frechet_feasible")
-    return _FreeSpace(a, b).feasible(float(eps))
+    radius = warping.real(eps)
+    if math.isnan(radius):
+        raise ValueError(f"frechet_feasible: eps must be a number, got {eps!r}")
+    store = PointStore.pack([t1, t2])
+    store.require_carriers(*_PAIR, "frechet_feasible: needs trajectories with at least 2 points")
+    return _FreeSpace(store[0], store[1]).feasible(radius)
 
 
 def _frechet_pair(p: np.ndarray, q: np.ndarray, upper: float) -> float:
@@ -384,6 +382,7 @@ def check_density(samples_per_unit, name: str) -> float:
     return density
 
 
+@np.errstate(over="ignore")  # seam lengths are dropped; an overflow elsewhere is refused
 def owd_samples(store: PointStore, samples_per_unit: float) -> OwdSamples:
     """Sample every sequence of ``store`` as :func:`owd` does, at once."""
     n = store.lengths(np.arange(len(store.offsets) - 1))

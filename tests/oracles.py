@@ -512,6 +512,39 @@ def frozen_hausdorff(t1, t2) -> float:
                      _frozen_carrier_distances(t2, t1).max()))
 
 
+# Frozen copy of synth's sampling loop as trajkit shipped it when every
+# trajectory measured its bundle's anchor again. synth must reproduce it
+# bit for bit: the benchmark's label-recovery check is built on its output.
+
+
+def _frozen_along_anchor(anchor, s) -> np.ndarray:
+    seg = np.hypot(*(anchor[1:] - anchor[:-1]).T)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    x = np.interp(s, cum, anchor[:, 0])
+    y = np.interp(s, cum, anchor[:, 1])
+    return np.column_stack([x, y])
+
+
+def frozen_synth(bundles, seed: int) -> tuple[list, list, list]:
+    """(ids, point arrays, labels) of synth on validated ``bundles``
+    (anchor, count, jitter and points as BundleSpec holds them)."""
+    rng = np.random.default_rng(seed)
+    ids, points, labels = [], [], []
+    for b_idx, spec in enumerate(bundles):
+        total = float(np.hypot(*(spec.anchor[1:] - spec.anchor[:-1]).T).sum())
+        lo, hi = spec.points
+        for t_idx in range(spec.count):
+            m = int(rng.integers(lo, hi + 1))
+            s = np.linspace(0.0, total, m)
+            pts = _frozen_along_anchor(spec.anchor, s)
+            if spec.jitter > 0:
+                pts = pts + rng.normal(0.0, spec.jitter, pts.shape)
+            ids.append(f"b{b_idx}t{t_idx}")
+            points.append(pts)
+            labels.append(b_idx)
+    return ids, points, labels
+
+
 # -- dense-sampling geometry -------------------------------------------------
 
 

@@ -263,7 +263,7 @@ def test_exact_frechet_is_slowest_and_matrix_time_scales_quadratically():
     and the fitted wall-time exponent for DTW and SSPD matrices over
     n in {50, 100, 200} lies in [1.7, 2.3]."""
     report = run_bench(n=100, points=10, seed=0)
-    serial = {name: row["serial"] for name, row in report.timings.items()}
+    serial = {name: row["serial"] for name, row in report["timings"].items()}
     assert len(serial) == 6
     slowest = max(serial, key=serial.get)
     assert slowest == "frechet"

@@ -19,22 +19,22 @@ def test_generator_is_seeded_and_sized():
 
 def test_report_covers_requested_distances():
     report = run_bench(n=6, points=6, seed=1, distances=("dtw", "sspd"))
-    assert report.n == 6
-    assert set(report.timings) == {"dtw", "sspd"}
-    assert all(row["serial"] > 0 for row in report.timings.values())
-    assert report.workers == 0
+    assert report["n"] == 6
+    assert set(report["timings"]) == {"dtw", "sspd"}
+    assert all(row["serial"] > 0 for row in report["timings"].values())
+    assert report["workers"] == 0
 
 
 def test_report_has_a_parallel_column_with_workers():
     report = run_bench(n=6, points=5, seed=1, distances=("sspd",), workers=2)
-    assert report.workers == 2
-    assert set(report.timings["sspd"]) == {"serial", "parallel"}
-    assert report.timings["sspd"]["parallel"] > 0
+    assert report["workers"] == 2
+    assert set(report["timings"]["sspd"]) == {"serial", "parallel"}
+    assert report["timings"]["sspd"]["parallel"] > 0
 
 
 def test_default_distance_list_is_benchable():
     report = run_bench(n=4, points=5, seed=2)
-    assert set(report.timings) == set(BENCH_DISTANCES)
+    assert set(report["timings"]) == set(BENCH_DISTANCES)
 
 
 def test_scaling_exponent_shape():

@@ -182,6 +182,7 @@ class TestPipeline:
         assert main(["bench", "-o", str(pipeline["bench"]), "--n", "8", "--points", "6",
                      "--distances", "dtw,hausdorff"]) == 0
         report = json.loads(pipeline["bench"].read_text(encoding="utf-8"))
+        assert list(report) == ["n", "points", "environment", "timings", "workers"]
         assert report["n"] == 8
         assert set(report["timings"]) == {"dtw", "hausdorff"}
         assert all(row["serial"] > 0 for row in report["timings"].values())

@@ -212,6 +212,7 @@ class TestHca:
                 with pytest.raises(ValueError, match="finite symmetric"):
                     hca(d, linkage=method)
 
+    @pytest.mark.filterwarnings("error")
     def test_ward_refuses_distances_whose_squares_overflow(self):
         # Finite distances of about 1e200: ward's squares overflow, so it
         # raises; the other linkages stay finite and equal the full scan.
@@ -224,6 +225,7 @@ class TestHca:
             assert np.isfinite(dg.heights()).all()
             assert [(s.left, s.right, s.height, s.size) for s in dg.steps] == scan_hca(d, method)[0]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["average", "weighted", "ward"])
     def test_an_update_that_overflows_is_refused(self, method):
         # After (0, 1) merge at 1, the sum of the two 1.7e308 distances to

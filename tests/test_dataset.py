@@ -8,6 +8,8 @@ from trajkit import (BundleSpec, IngestError, Trajectory, TrajectoryDataset,
                      ingest, load_dataset, save_dataset, sspd, synth)
 from trajkit.dataset import write_json
 
+from oracles import frozen_synth
+
 
 PLANAR_CSV = """traj_id,x,y,t
 a,0.0,0.0,0
@@ -364,6 +366,37 @@ class TestSynth:
         assert ds.ids == ref.ids and labels.tolist() == ref_labels.tolist() == [0, 0, 0]
         for a, b in zip(ds.trajectories, ref.trajectories):
             assert np.array_equal(a.points, b.points)
+
+    @staticmethod
+    def grid_bundles(seed: int) -> list[BundleSpec]:
+        # Four bundles of 3-5 vertex anchors, one per cell of a 2x2 grid,
+        # each with its own narrow point range, as the benchmark's are.
+        rng = np.random.default_rng(seed)
+        out = []
+        for b, points in enumerate(((8, 9), (13, 14), (18, 19), (23, 24))):
+            corner = np.array([(b % 2) * 100.0, (b // 2) * 100.0]) + 20.0
+            steps = rng.uniform(-10.0, 10.0, (int(rng.integers(3, 6)), 2)) + [8.0, 0.0]
+            out.append(BundleSpec(corner + np.cumsum(steps, axis=0), 15, 1.0, points))
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_output_is_the_frozen_sampling_bit_for_bit(self, seed):
+        specs = [
+            [BundleSpec(anchor=self.ANCHOR, count=30, jitter=0.3, points=(5, 7))],
+            [BundleSpec(anchor=self.ANCHOR, count=5, jitter=0.0),
+             BundleSpec(anchor=np.array([(0.0, 0.0), (3.0, 7.0), (3.5, 7.0), (9.0, -1.0)]),
+                        count=7, jitter=0.5, points=(2, 40))],
+            self.grid_bundles(seed),
+            # Over 8 segments numpy sums the lengths pairwise, not in turn.
+            [BundleSpec(np.random.default_rng(seed).uniform(0.0, 50.0, (40, 2)), 6, 0.1, (30, 90))],
+        ]
+        for bundles in specs:
+            ds, labels = synth(bundles, seed=seed)
+            ids, points, ref_labels = frozen_synth(bundles, seed)
+            assert list(ds.ids) == ids
+            assert labels.tolist() == ref_labels
+            for t, pts in zip(ds.trajectories, points, strict=True):
+                assert t.points.tobytes() == pts.tobytes()
 
     def test_anchor_validation(self):
         with pytest.raises(ValueError, match="positive length"):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (dense_owd, enum_discrete_frechet, resampled_frechet,
                      sample_carrier_hausdorff, sample_hausdorff)
 
 L_SHAPE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0)]
+RAILS = ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])  # Frechet distance 1
 
 
 class TestHausdorff:
@@ -123,6 +125,18 @@ class TestFrechet:
             assert not frechet_feasible(a, b, 0.95 * d - 1e-9)
             assert frechet_feasible(a, b, 1.05 * d + 1e-9)
 
+    @pytest.mark.parametrize("eps", [True, "2", None, np.nan, 10 ** 400],
+                             ids=["bool", "str", "None", "nan", "past-float"])
+    def test_feasibility_takes_a_number(self, eps):
+        message = f"^frechet_feasible: eps must be a number, got {re.escape(repr(eps))}$"
+        with pytest.raises(ValueError, match=message):
+            frechet_feasible(*RAILS, eps)
+
+    @pytest.mark.parametrize("eps, within", [(-1.0, False), (0, False), (0.5, False), (2, True),
+                                             (np.float32(2.0), True), (np.inf, True)])
+    def test_feasibility_at_any_real_radius(self, eps, within):
+        assert frechet_feasible(*RAILS, eps) is within
+
     def test_at_least_hausdorff(self):
         for a, b in walk_pairs(97, 100):
             assert frechet(a, b) >= hausdorff(a, b) - 1e-9
@@ -187,6 +201,7 @@ class TestOwd:
         with pytest.raises(ValueError, match="owd: too many samples at 1e\\+300 per unit length"):
             owd(L_SHAPE, L_SHAPE, samples_per_unit=1e300)
 
+    @pytest.mark.filterwarnings("error")
     def test_refuses_a_walk_of_too_many_samples_before_holding_them(self):
         # About 1e8 samples on each walk's one segment: 1.6 GB of points.
         tracemalloc.start()

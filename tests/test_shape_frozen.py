@@ -150,9 +150,10 @@ def test_feasibility_is_monotone_in_the_radius():
 def test_feasibility_equals_the_frozen_decision_at_candidate_values(band, monkeypatch):
     # Radii exactly at the old per-cell candidates and at the critical
     # values frechet searches, at the answer and one ulp either side of
-    # each, a sweep of 41 radii and NaN: the radius inflation and every
-    # interval edge are exercised. The decision computes its intervals in
-    # bands of one row, of rows that split the diagram unevenly, and whole.
+    # each, and a sweep of 41 radii: the radius inflation and every
+    # interval edge are exercised. NaN, which the frozen decision read as
+    # infeasible, is refused. The decision computes its intervals in bands
+    # of one row, of rows that split the diagram unevenly, and whole.
     monkeypatch.setattr(shape, "_BAND", band)
     for a, b in pairs(137, 15):
         frozen = FrozenFreeSpace(a, b)
@@ -160,9 +161,11 @@ def test_feasibility_equals_the_frozen_decision_at_candidate_values(band, monkey
         radii = [*frozen.candidates().tolist(), *frechet_candidates(a, b).tolist(),
                  d, 0.5 * d, 2.0 * d, -1.0, 0.0]
         radii += [np.nextafter(r, s) for r in radii[:-2] for s in (-np.inf, np.inf)]
-        radii += np.linspace(0.0, 1.5 * d + 0.1, 41).tolist() + [np.nan]
+        radii += np.linspace(0.0, 1.5 * d + 0.1, 41).tolist()
         for eps in radii:
             assert frechet_feasible(a, b, eps) is frozen.feasible(float(eps))
+        with pytest.raises(ValueError, match="^frechet_feasible: eps must be a number, got nan$"):
+            frechet_feasible(a, b, np.nan)
 
 
 @pytest.mark.parametrize("cells", [1, 7 * 30, geometry._BLOCK])
