@@ -97,6 +97,7 @@ def segment_lengths(points: np.ndarray) -> np.ndarray:
     return np.hypot(*(points[1:] - points[:-1]).T)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in inf or NaN, which is refused
 def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Distance from each point to each segment, vectorised.
 
@@ -109,7 +110,8 @@ def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) 
     -------
     ndarray of shape (m, k)
         Euclidean distance from point i to segment j (orthogonal projection
-        clamped to the segment; zero-length segments degrade to points).
+        clamped to the segment; zero-length segments degrade to points, and
+        segments too long to square, over about 1.3e154, give NaN).
     """
     # The x and y parts run as separate arrays, in place: the same IEEE
     # operations as an (m, k, 2) form with two-term einsum sums, so the same
@@ -119,7 +121,8 @@ def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) 
     px, py = (points[:, 0], points[:, 1]) if inner else (points[:, 0, None], points[:, 1, None])
     sx, sy = (starts[:, 0, None], starts[:, 1, None]) if inner else (starts[:, 0], starts[:, 1])
     dx, dy = ends[:, 0] - starts[:, 0], ends[:, 1] - starts[:, 1]
-    len2 = np.where(dx * dx + dy * dy > 0.0, dx * dx + dy * dy, 1.0)
+    len2 = dx * dx + dy * dy
+    len2 = np.where(len2 == np.inf, np.nan, np.where(len2 > 0.0, len2, 1.0))
     if inner:
         dx, dy, len2 = dx[:, None], dy[:, None], len2[:, None]
     t = px - sx
@@ -184,44 +187,11 @@ def window_sums(values: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> n
     return out
 
 
-def _picks(values: np.ndarray, start: np.ndarray, stride, count: np.ndarray) -> np.ndarray:
-    """``values[start[k] + r * stride[k]]`` for r < count[k], for each k in turn."""
+def _picks(values: np.ndarray, start: np.ndarray, stride: int, count: np.ndarray) -> np.ndarray:
+    """``values[start[k] + r * stride]`` for r < count[k], for each k in turn."""
     k = np.repeat(np.arange(len(count)), count)
     r = np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
-    return values[start[k] + r * np.broadcast_to(stride, count.shape)[k]]
-
-
-def _tiles(mo: list, co: list, ia: np.ndarray, ib: np.ndarray):
-    """The tiles of :func:`carrier_pairs`: (first pair, end pair, i0, i1, c0, c1)."""
-    n = len(co) - 1
-
-    def fits(i0: int, i1: int) -> bool:  # whole rows i0..i1 in one tile, columns i0..n-1
-        return ((mo[i1 + 1] - mo[i0]) * (n - i0) <= _BLOCK and co[n] - co[i0] - 1 <= _BLOCK
-                and (mo[n] - mo[i1 + 1]) * (i1 - i0 + 1) <= _BLOCK
-                and co[i1 + 1] - co[i0] - 1 <= _BLOCK)
-
-    runs = np.flatnonzero((np.diff(ia, prepend=-1) != 0) | (np.diff(ib, prepend=-2) != 1)).tolist()
-    ends = runs[1:] + [len(ia)]
-    row, col = ia[runs].tolist(), ib[runs].tolist()
-    whole = [c == i + 1 and c + e - k == n for i, c, k, e in zip(row, col, runs, ends)]
-    r = 0
-    while r < len(runs):
-        s = r + 1
-        while (whole[r] and s < len(runs) and whole[s] and row[s] == row[s - 1] + 1
-               and fits(row[r], row[s])):
-            s += 1
-        if s > r + 1:
-            yield runs[r], ends[s - 1], row[r], row[s - 1], row[r] + 1, n
-            r = s
-            continue
-        i, c, k = row[r], col[r], runs[r]
-        while k < ends[r]:  # one row, in blocks of columns
-            e = max(c + 1, min(c + ends[r] - k, c + _BLOCK // max(1, mo[i + 1] - mo[i]),
-                               bisect.bisect_right(co, co[c] + 1 + _BLOCK) - 1,
-                               bisect.bisect_right(mo, mo[c] + _BLOCK) - 1))
-            yield k, k + e - c, i, i, c, e
-            k, c = k + e - c, e
-        r += 1
+    return values[start[k] + r * stride]
 
 
 def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
@@ -235,41 +205,54 @@ def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
     (``xy``, ``offsets``) over the same sequences; ``measured`` may hold
     other points of each sequence than its vertices.
 
-    The pairs run in tiles of rows i0..i1 and columns c0..c1-1, with two
-    :func:`carrier_distances` calls each: the rows' points against the
-    columns' carriers end to end (forward), and the columns' points against
-    the rows' carriers (backward). Consecutive whole rows (i, i+1..n-1)
-    share a tile, whose forward call also covers the rows' own carriers:
-    there lie the backward distances of the pairs within those rows. Other
-    runs of pairs (i, j), (i, j + 1), ... are cut into tiles of one row. A
-    tile's distance arrays, and the segments one point meets, stay within
-    ``_BLOCK`` values unless the tile is one row and one column.
+    Both directions of every pair form one sorted list of (measured,
+    carrier) entries. A tile is a run of consecutive measured sequences
+    whose entries span the same carriers, first to last, with points times
+    carriers at most ``_BLOCK`` unless the tile is one sequence. The span
+    is cut into blocks of at most ``_BLOCK`` segments, and of at most
+    ``_BLOCK`` points times carriers; each block with an entry is one
+    :func:`carrier_distances` call, whose forward entries and backward
+    entries are reduced apart.
 
-    ``reduce(flat, walks, count)`` gets the distances of a tile's pairs end
-    to end, the c-th pair's ``count[c]`` from the points of
-    ``measured[walks[c]]``, and returns one value per pair.
+    ``reduce(flat, walks, count)`` gets the distances of some entries end
+    to end, the c-th entry's ``count[c]`` from the points of
+    ``measured[walks[c]]``, and returns one value per entry.
     """
     mo, co = measured.offsets, carriers.offsets
-    mol = mo.tolist()
-    fwd, bwd = [np.empty(0)], [np.empty(0)]
-    for k0, k1, i0, i1, c0, c1 in _tiles(mol, co.tolist(), ia, ib):
-        a, b = ia[k0:k1], ib[k0:k1]
-        f0 = i0 if i1 > i0 else c0  # the first carrier of the forward call
-        near = carrier_distances(measured.xy[mol[i0]:mol[i1 + 1]], carriers.xy, co[f0:c1 + 1])
-        width = near.shape[1]
-        count = mo[a + 1] - mo[a]
-        fwd.append(reduce(_picks(near.ravel(), (mo[a] - mol[i0]) * width + b - f0, width, count),
-                          a, count))
-        b0 = i1 + 1 if i1 > i0 else c0  # the first column whose points the backward call takes
-        later = carrier_distances(measured.xy[mol[b0]:mol[c1]], carriers.xy, co[i0:i1 + 2])
-        inside = b < b0
-        start = np.where(inside, (mo[b] - mol[i0]) * width + a - f0,
-                         near.size + (mo[b] - mol[b0]) * later.shape[1] + a - i0)
-        count = mo[b + 1] - mo[b]
-        flat = _picks(np.concatenate([near.ravel(), later.ravel()]), start,
-                      np.where(inside, width, later.shape[1]), count)
-        bwd.append(reduce(flat, b, count))
-    return np.concatenate(fwd), np.concatenate(bwd)
+    mol, col = mo.tolist(), co.tolist()
+    walk, carrier = np.concatenate([ia, ib]), np.concatenate([ib, ia])
+    order = np.lexsort((carrier, walk))
+    walk, carrier, forward = walk[order], carrier[order], order < len(ia)
+    count = mo[walk + 1] - mo[walk]
+    heads = np.flatnonzero(np.diff(walk, prepend=-1))  # each measured sequence's first entry
+    tails = np.append(heads[1:], len(walk))
+    w, lo, hi = walk[heads], carrier[heads], carrier[tails - 1] + 1
+    runs = np.flatnonzero((np.diff(w, prepend=-2) != 1) | (np.diff(lo, prepend=-1) != 0)
+                          | (np.diff(hi, prepend=-1) != 0)).tolist()
+    w, lo, hi, heads, tails = w.tolist(), lo.tolist(), hi.tolist(), heads.tolist(), tails.tolist()
+    out = np.empty(len(walk))
+    for r, end in zip(runs, runs[1:] + [len(w)]):
+        c0, c1 = lo[r], hi[r]
+        while r < end:  # a tile: sequences w[r] .. w[s - 1], whose points times c1 - c0 fit
+            a = w[r]
+            s = max(r + 1, min(end, r - a - 1 + bisect.bisect_right(mol, mol[a] + _BLOCK // (c1 - c0))))
+            k0, k1 = heads[r], tails[s - 1]
+            points = measured.xy[mol[a]:mol[w[s - 1] + 1]]
+            c = c0
+            while c < c1:
+                e = max(c + 1, min(c1, c + _BLOCK // max(1, len(points)),
+                                   bisect.bisect_right(col, col[c] + 1 + _BLOCK) - 1))
+                inside = (carrier[k0:k1] >= c) & (carrier[k0:k1] < e)
+                if inside.any():
+                    near = carrier_distances(points, carriers.xy, co[c:e + 1]).ravel()
+                    for way in (forward[k0:k1], ~forward[k0:k1]):  # forward entries, then backward
+                        k = k0 + np.flatnonzero(inside & way)
+                        if len(k):
+                            start = (mo[walk[k]] - mol[a]) * (e - c) + carrier[k] - c
+                            out[order[k]] = reduce(_picks(near, start, e - c, count[k]), walk[k], count[k])
+                c = e
+            r = s
+    return out[:len(ia)], out[len(ia):]
 
 
 def project_wgs84(lat, lon, origin_lat: float, origin_lon: float) -> tuple[np.ndarray, np.ndarray]:

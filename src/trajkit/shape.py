@@ -440,10 +440,10 @@ def _check_samples(store: PointStore, samples: OwdSamples, ia: np.ndarray, ib: n
         raise ValueError(f"owd: too many samples at {samples.samples_per_unit!r} per unit length")
 
 
-def _pair_samples(store: PointStore, samples_per_unit) -> OwdSamples:
-    """The samples of the one pair packed in ``store``, with owd's checks on it."""
+def _pair_samples(store: PointStore, samples_per_unit, name: str) -> OwdSamples:
+    """The one pair's samples, with owd's checks on them; a bad density is refused as ``name``."""
     store.require_carriers(*_PAIR, "owd: needs trajectories with at least 2 points")
-    samples = owd_samples(store, check_density(samples_per_unit, "owd"))
+    samples = owd_samples(store, check_density(samples_per_unit, name))
     _check_samples(store, samples, *_PAIR)
     return samples
 
@@ -478,7 +478,7 @@ def owd(t1, t2, samples_per_unit: float = 1.0) -> float:
 
 def _owd_pair(store: PointStore, ia: np.ndarray, ib: np.ndarray, samples_per_unit) -> np.ndarray:
     """owd of the one pair packed in ``store``, (ia, ib) = (0, 1)."""
-    samples = _pair_samples(store, samples_per_unit)
+    samples = _pair_samples(store, samples_per_unit, "owd")
     near = carrier_distances(samples.points[0], store[1], (0, len(store[1])))
     return _integrals(samples, near.ravel(), ia, np.array([len(near)]))
 
@@ -490,4 +490,4 @@ def sowd(t1, t2, samples_per_unit: float = 1.0) -> float:
 
 def _sowd_pair(store: PointStore, ia: np.ndarray, ib: np.ndarray, samples_per_unit) -> np.ndarray:
     """sowd of the one pair packed in ``store``."""
-    return sowd_batch(store, ia, ib, _pair_samples(store, samples_per_unit))
+    return sowd_batch(store, ia, ib, _pair_samples(store, samples_per_unit, "sowd"))

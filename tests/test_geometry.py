@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from trajkit import (Trajectory, discrete_frechet, dlcss, dtw, edr, erp, frechet, frechet_candidates,
-                     frechet_feasible, hausdorff, lcss, owd, project_wgs84, sowd, spd, sspd)
+                     frechet_feasible, geometry, hausdorff, lcss, matrix, owd, project_wgs84, sowd,
+                     spd, sspd)
 from trajkit.geometry import as_points, carrier_distances, segment_distances, segment_lengths
+from trajkit.shape import owd_samples, sowd_batch
+from trajkit.sspd import sspd_batch
+from trajkit.warping import PointStore
 
 from conftest import smooth_walk
 from oracles import sample_point_to_polyline_fast
@@ -147,6 +151,44 @@ class TestPointToTrajectory:
                 for p in ((3.0, 2.5), (6.0, 5.5))]
         assert got == pytest.approx(np.array(want), abs=1e-12)
         assert got[0, 0] > 3.0  # the bridge passes through (3.0, 2.5)
+
+
+class TestCarrierPairs:
+    @pytest.mark.filterwarnings("error")
+    def test_a_far_walk_packed_between_two_near_ones_changes_no_other_pair(self):
+        # The bridges to and from the far walk are too long to square; they
+        # are no part of any carrier, and the near pair's tile spans them.
+        a, b = [(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)], [(0.0, 1.0), (1.0, 1.2), (2.0, 1.0), (3.0, 1.0)]
+        store = PointStore.pack([a, [(1e200, 0.0), (1e200, 1.0)], b])
+        got = sspd_batch(store, np.array([0, 0, 1]), np.array([1, 2, 2]))
+        assert got[1] == sspd(a, b)
+        assert not np.isfinite(got[[0, 2]]).any()
+
+    @pytest.mark.parametrize("n, size", [(64, 2016), (200, 4096), (200, 1243)],
+                             ids=["triangle", "serial-ranges", "pool-ranges"])
+    @pytest.mark.parametrize("name", ["sspd", "sowd"])
+    def test_tiles_measure_few_more_cells_than_the_pairs_need(self, name, n, size, monkeypatch):
+        # A pair needs each walk's points against the other's carrier. Tiles
+        # of consecutive walks with the same span of carriers measure each
+        # walk against its own carrier too, and little else.
+        rng = np.random.default_rng(n)
+        store = PointStore.pack([smooth_walk(rng, int(rng.integers(8, 24))) for _ in range(n)])
+        samples = owd_samples(store, 1.0)
+        batch, measured = {"sspd": (sspd_batch, store),
+                           "sowd": (lambda *pair: sowd_batch(*pair, samples), samples.points)}[name]
+        cells = []
+
+        def counted(points, xy, bounds):
+            cells.append(len(points) * (len(bounds) - 1))
+            return np.zeros((len(points), len(bounds) - 1))
+
+        monkeypatch.setattr(geometry, "carrier_distances", counted)
+        npairs, need = n * (n - 1) // 2, 0
+        for start in range(0, npairs, size):
+            ia, ib = matrix._pair_indices(n, start, min(start + size, npairs))
+            batch(store, ia, ib)
+            need += int((measured.lengths(ia) + measured.lengths(ib)).sum())
+        assert need <= sum(cells) <= 1.05 * need
 
 
 class TestSegmentDistances:

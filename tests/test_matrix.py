@@ -105,7 +105,7 @@ BAD_DENSITIES = [0.0, -1.0, np.nan, np.inf, -np.inf, True, "2"]
 RULE_CASES = ([("dlcss", "eps_d", call, call.__name__, v) for call in (lcss, dlcss) for v in BAD_EPS]
               + [("edr", "eps_d", edr, "edr", v) for v in BAD_EPS]
               + [("erp", "gap", erp, "erp", v) for v in BAD_GAPS]
-              + [("sowd", "samples_per_unit", call, "owd", v) for call in (owd, sowd)
+              + [("sowd", "samples_per_unit", call, call.__name__, v) for call in (owd, sowd)
                  for v in BAD_DENSITIES])
 
 
@@ -392,7 +392,8 @@ class TestComputeMatrix:
         (message,) = messages
         assert message.startswith(f"{DistanceSpec(name).render()} failed on 3 pair(s): "
                                   "('a', 'b'): non-finite distance ")
-        assert "('a', 'c'): non-finite distance inf; ('b', 'c'): non-finite distance " in message
+        c = "nan" if name in ("sspd", "hausdorff") else "inf"  # a and b: segments too long to square
+        assert f"('a', 'c'): non-finite distance {c}; ('b', 'c'): non-finite distance " in message
 
     @pytest.mark.parametrize("name, call", [
         ("sspd", sspd), ("spd", spd), ("hausdorff", hausdorff), ("dtw", dtw),

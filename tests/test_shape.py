@@ -213,6 +213,13 @@ class TestOwd:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_carrier_segment_too_long_to_square(self):
+        # The first walk lies on the second, whose segments are 1e308 long:
+        # their projections cannot be found, so the value is refused.
+        with pytest.raises(ValueError, match="^owd: non-finite distance nan$"):
+            owd([(0, 0), (1, 0)], [(0, 0), (1e308, 0), (1e308, 1e308)], samples_per_unit=1e-305)
+
     def test_the_cap_counts_every_sample_of_a_walk(self, monkeypatch):
         # Each segment holds its width + 1 samples, both vertices included:
         # 13 + 13 on the first walk and 14 + 13 on the second; L_SHAPE has 16.

@@ -324,8 +324,9 @@ BATCHES = [
 def test_batch_kernels_equal_the_frozen_kernels_on_any_flat_range(name, batch, frozen, block,
                                                                  monkeypatch):
     # Ranges that start and end mid-row, whole rows, single pairs and the
-    # whole triangle, and pairs on or below the diagonal; the default block
-    # puts whole rows in one tile.
+    # whole triangle, pairs on or below the diagonal, and a range's pairs
+    # shuffled with one repeated; the default block puts many walks in one
+    # tile.
     monkeypatch.setattr(geometry, "_BLOCK", block)
     fleet = batch_fleet()
     store = PointStore.pack(fleet)
@@ -334,7 +335,8 @@ def test_batch_kernels_equal_the_frozen_kernels_on_any_flat_range(name, batch, f
     ranges = [matrix._pair_indices(n, start, end)
               for start, end in [(0, npairs), (3, 40), (12, 13), (15, 85), (29, 57), (npairs - 4, npairs)]]
     lower = (np.array([5, 5, 9, 2, 3, 4]), np.array([5, 0, 1, 2, 2, 2]))  # j <= i: not in a matrix
-    for ia, ib in ranges + [lower]:
+    shuffled = np.random.default_rng(173).permutation(np.append(np.arange(15, 85), 40))  # 40 twice
+    for ia, ib in ranges + [lower, (ranges[0][0][shuffled], ranges[0][1][shuffled])]:
         got = batch(store, ia, ib)
         for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
             assert got[k] == frozen(fleet[i], fleet[j]), (name, block, i, j)
