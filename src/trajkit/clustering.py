@@ -97,7 +97,7 @@ class ClusterAssignment:
         if k is None or not 1 <= k <= labels.size:
             raise ValueError(f"ClusterAssignment: invalid cluster count k={self.k!r} for "
                              f"{labels.size} items; expected an int in [1, {labels.size}]")
-        present = np.unique(labels)
+        present = geometry.distinct(labels)
         if present.size != k or present[0] != 0 or present[-1] != k - 1:
             raise ValueError("labels must cover 0..k-1 with every cluster nonempty")
         labels.setflags(write=False)
@@ -401,7 +401,7 @@ def _central(indices: Sequence[int], vals: np.ndarray) -> int:
         raise ValueError(f"exemplar: indices must be integers, got {idx.dtype} values")
     idx = idx.astype(np.int64, copy=False)
     if not (idx[1:] > idx[:-1]).all():
-        idx = np.unique(idx)
+        idx = geometry.distinct(idx)
     if idx[0] < 0 or idx[-1] >= vals.shape[0]:
         raise ValueError("exemplar: index out of range")
     if idx.size == vals.shape[0]:

@@ -173,6 +173,13 @@ def carrier_distances(points: np.ndarray, xy: np.ndarray, bounds) -> np.ndarray:
     return out
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` bit for bit where no value is NaN, signed zeros
+    included, without the ``numpy.ma`` import ``np.unique`` makes on its first call."""
+    v = np.sort(values, axis=None)
+    return np.concatenate((v[:1], v[1:][v[1:] != v[:-1]]))
+
+
 def window_sums(values: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """``values[firsts[k]:firsts[k] + widths[k]].sum()`` for each k, bit for bit.
 
@@ -181,7 +188,7 @@ def window_sums(values: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> n
     adds it alone (``np.add.reduceat`` does not).
     """
     out = np.empty(len(widths))
-    for width in np.unique(widths).tolist():
+    for width in distinct(widths).tolist():
         sel = np.flatnonzero(widths == width)
         out[sel] = values[firsts[sel, None] + np.arange(width)].sum(axis=1)
     return out

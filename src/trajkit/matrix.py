@@ -284,9 +284,8 @@ def compute_matrix(
     if spec.name in _BATCH_PARAMS:
         params = _BATCH_PARAMS[spec.name](store, *params)
     job = (store, batch, params)
-    # A range is at most 16 DP batches, which holds whole rows for the
-    # carrier kernels and keeps O(n^2) off every worker; where n is small,
-    # the pool gives each worker about 8 ranges.
+    # A range is at most 16 DP batches, which keeps O(n^2) off every
+    # worker; where n is small, the pool gives each worker about 8 ranges.
     cap = 16 * warping.CHUNK
     size = cap if workers == 1 else min(cap, max(1, npairs // (workers * 8)))
     ranges = [(s, min(s + size, npairs)) for s in range(0, npairs, size)]

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import geometry, warping
-from .geometry import carrier_distances, carrier_pairs, segment_lengths, window_sums
+from .geometry import carrier_distances, carrier_pairs, distinct, segment_lengths, window_sums
 from .warping import _PAIR, PointStore
 
 __all__ = [
@@ -213,7 +213,7 @@ class _FreeSpace:
             vals += _equidistant(self.qa, self.vb, self.vc, lo, hi)
             vals += _equidistant(self.pa, self.hb, self.hc, lo, hi)
         vals = np.concatenate(vals)
-        return np.unique(vals[(vals >= lo) & (vals <= hi)])
+        return distinct(vals[(vals >= lo) & (vals <= hi)])
 
 
 _BAND = 1 << 10  # cells whose boundary intervals a decision computes in one step
@@ -300,7 +300,7 @@ def _frechet_pair(p: np.ndarray, q: np.ndarray, upper: float) -> float:
     if fs.feasible(lower):
         lo, value = max(fs.d_start, fs.d_end), lower
     else:
-        crit = np.unique(np.append(fs.critical_values(near, lower, upper), upper))
+        crit = distinct(np.append(fs.critical_values(near, lower, upper), upper))
         lo_i, hi_i = 0, len(crit)  # crit[0] is lower, rejected; len(crit): none accepted
         while hi_i - lo_i > 1:
             mid = (lo_i + hi_i) // 2
@@ -398,7 +398,7 @@ def owd_samples(store: PointStore, samples_per_unit: float) -> OwdSamples:
     width = count[keep].astype(np.int64) - 1
     ends = np.cumsum(width + 1)
     xy = np.empty((int(ends[-1]) if len(ends) else 0, 2))
-    for w in np.unique(width).tolist():
+    for w in distinct(width).tolist():
         sel = np.flatnonzero(width == w)
         a, b = store.xy[segments[sel]], store.xy[segments[sel] + 1]
         t = np.linspace(0.0, 1.0, w + 1)[:, None]

@@ -26,7 +26,6 @@ __all__ = ["dlcss", "dtw", "edr", "erp", "lcss"]
 #: Pairs per batch. A batch costs about as much as its longest sequences,
 #: whatever its size, so fixed-size batches keep matrix time per pair flat.
 CHUNK = 256
-_BLOCK = 4096  # cells whose point distances are computed in one step
 _PAD = np.array([[0.0, 0.0], [np.inf, np.inf]])
 
 
@@ -55,65 +54,68 @@ class PointStore:
             raise ValueError(message)
 
     def gather(self, idx: np.ndarray, size: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """Points ``steps`` (a column) of sequences ``idx`` of lengths ``size``, shape
-        (steps, idx, 2): the zero point past the end, the point at infinity before it."""
+        """The x and y planes of points ``steps`` (a column) of sequences ``idx`` of lengths
+        ``size``, shape (2, steps, idx): the zero point past the end, the point at infinity before it."""
         at = np.where(steps < size, self.offsets[idx] + steps, -2)
-        return self.xy[np.where(steps < 0, -1, at)]
+        return self.xy.T.take(np.where(steps < 0, -1, at), axis=1)
 
 
 def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distance over the last axis (the bits of sqrt(einsum(d, d)))."""
+    """Euclidean distance over the first axis (the bits of sqrt(einsum(d, d)))."""
     d = p - q
     d *= d
-    return np.sqrt(d[..., 0] + d[..., 1])
+    return np.sqrt(d[0] + d[1])
 
 
 def sweep(rule, store: PointStore, ia: np.ndarray, ib: np.ndarray, *params) -> np.ndarray:
     """Cell T[n][m] of the DP table of ``rule`` for each pair (ia[k], ib[k]).
 
-    CHUNK pairs at a time are gathered, zero-padded to their longest
-    sequences and swept together by anti-diagonals, three kept at a time,
-    with the point distances of up to _BLOCK cells computed at once: memory
-    is O(CHUNK x longest sequence). A cell reads only cells above and left
-    of it, so padding never reaches a pair's own cells. Each sequence starts
-    with a point at infinity, and the cells before row and column 0 hold the
-    rule's ``outside`` value, so the rule yields row and column 0 itself.
+    Every rule is symmetric, so each pair runs with its shorter sequence as
+    ``a``, the rows: the table of (b, a) is the transpose of that of (a, b),
+    bit for bit. The pairs run in order of shape, CHUNK at a time, gathered,
+    zero-padded to their longest sequences (n rows, m columns) and swept
+    together by anti-diagonals, three kept at a time: memory is O(CHUNK x
+    longest sequence). Diagonal k computes rows max(0, k - m)..min(n, k)
+    alone. A cell reads only cells above and left of it, so neither padding
+    nor the rows past the band reach a pair's own cells. Each sequence
+    starts with a point at infinity, and the cells before row and column 0
+    hold the rule's ``outside`` value, so the rule yields row and column 0.
 
     ``rule(a, b, *params)`` gives ``(T[0][0], outside, cost, cell)``; row r
-    of ``a`` is point r - 1, ``b`` holds the b points reversed and padded.
-    ``cell(diag, up, left, c, out, facing)`` writes rows 0..n of one
-    anti-diagonal from T[i-1][j-1], T[i-1][j] and T[i][j-1]; ``c`` is
-    ``cost`` of the point distances and ``b[facing]`` the b points that rows
-    0..n meet on it.
+    of ``a`` is point r - 1, ``b`` holds columns m..0, column j being point
+    j - 1. ``cell(diag, up, left, c, out, rows, facing)`` writes ``rows`` of
+    one anti-diagonal from T[i-1][j-1], T[i-1][j] and T[i][j-1]; ``c`` is
+    ``cost`` of the point distances and ``b[:, facing]`` the b points that
+    ``rows`` meet on it.
     """
+    na, nb = store.lengths(ia), store.lengths(ib)
+    swap = nb < na
+    first, second = np.where(swap, ib, ia), np.where(swap, ia, ib)
+    order = np.lexsort((np.maximum(na, nb), np.minimum(na, nb)))
     result = np.empty(len(ia))
     for c in range(0, len(ia), CHUNK):
-        pa, pb = ia[c:c + CHUNK], ib[c:c + CHUNK]
+        at = order[c:c + CHUNK]
+        pa, pb = first[at], second[at]
         na, nb = store.lengths(pa), store.lengths(pb)
-        n, m, lanes = int(na.max()), int(nb.max()), len(pa)
-        # On anti-diagonal k, row r of a meets row n + m - k + r of b, point k - r - 1.
+        n, m = int(na.max()), int(nb.max())
         a = store.gather(pa, na, np.arange(-1, n)[:, None])
-        b = store.gather(pb, nb, np.arange(n + m - 1, -n - 1, -1)[:, None])
-        # A view of b in which windows[s] is b[s:s + n + 1].
-        windows = np.ndarray((n + m,) + a.shape, b.dtype, b, 0, b.strides[:1] + b.strides)
+        b = store.gather(pb, nb, np.arange(m - 1, -2, -1)[:, None])
         corner, outside, cost, cell = rule(a, b, *params)
-        block = max(1, _BLOCK // ((n + 1) * lanes))
-        diags = np.full((3, n + 2, lanes), outside)  # row 0 of each is row -1
+        diags = np.full((3, n + 2, len(at)), outside)  # row 0 of each is row -1
         diags[0, 1] = corner
-        views = [(d[:-1], d[1:]) for d in diags]
         finish: dict[int, list[int]] = {}
         for lane, k in enumerate((na + nb).tolist()):
             finish.setdefault(k, []).append(lane)
         for k in range(n + m + 1):
-            (diag, _), (up, left), (_, cur) = views[k % 3 - 2], views[k % 3 - 1], views[k % 3]
+            diag, last, cur = diags[k % 3 - 2], diags[k % 3 - 1], diags[k % 3]
             if k:
-                s = n + m - k
-                if (k - 1) % block == 0:
-                    costs = cost(_dist(a, windows[max(0, s + 1 - block):s + 1]))[::-1]
-                cell(diag, up, left, costs[(k - 1) % block], cur, slice(s, s + n + 1))
+                lo, hi = max(0, k - m), min(n, k) + 1
+                rows, facing = slice(lo, hi), slice(m - k + lo, m - k + hi)
+                cell(diag[lo:hi], last[lo:hi], last[lo + 1:hi + 1],
+                     cost(_dist(a[:, rows], b[:, facing])), cur[lo + 1:hi + 1], rows, facing)
             if k in finish:
                 done = finish[k]
-                result[c + np.array(done)] = cur[na[done], done]
+                result[at[done]] = cur[na[done] + 1, done]
     return result
 
 
@@ -127,39 +129,39 @@ def _same(dist):
 
 
 def _dtw(a, b):
-    def cell(diag, up, left, dist, out, facing):
+    def cell(diag, up, left, dist, out, rows, facing):
         np.add(_min3(diag, up, left, out), dist, out=out)
     return 0.0, np.inf, _same, cell
 
 
 def _coupling(a, b):
-    def cell(diag, up, left, dist, out, facing):
+    def cell(diag, up, left, dist, out, rows, facing):
         np.maximum(_min3(diag, up, left, out), dist, out=out)
     return -np.inf, np.inf, _same, cell
 
 
 def _lcss(a, b, eps_d):
-    def cell(diag, up, left, match, out, facing):
+    def cell(diag, up, left, match, out, rows, facing):
         np.maximum(up, left, out=out)
         np.add(diag, 1.0, out=out, where=match)
     return 0.0, 0.0, lambda dist: dist < eps_d, cell
 
 
 def _edr(a, b, eps_d):
-    def cell(diag, up, left, match, out, facing):
+    def cell(diag, up, left, match, out, rows, facing):
         np.add(_min3(diag, up, left, out), 1.0, out=out)
         np.copyto(out, diag, where=match)
     return 0.0, np.inf, lambda dist: dist < eps_d, cell
 
 
 def _erp(a, b, gap_point):
-    g = np.asarray(gap_point, dtype=np.float64).reshape(2)
+    g = np.asarray(gap_point, dtype=np.float64).reshape(2, 1, 1)
     gap_a, gap_b = _dist(a, g), _dist(g, b)
     tmp = np.empty_like(gap_a)
 
-    def cell(diag, up, left, dist, out, facing):  # align a_i with b_j, or leave one unmatched
-        np.minimum(np.add(diag, dist, out=tmp), np.add(up, gap_a, out=out), out=out)
-        np.minimum(out, np.add(left, gap_b[facing], out=tmp), out=out)
+    def cell(diag, up, left, dist, out, rows, facing):  # align a_i with b_j, or leave one unmatched
+        np.minimum(np.add(diag, dist, out=tmp[rows]), np.add(up, gap_a[rows], out=out), out=out)
+        np.minimum(out, np.add(left, gap_b[facing], out=tmp[rows]), out=out)
     return 0.0, np.inf, _same, cell
 
 

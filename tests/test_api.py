@@ -61,8 +61,8 @@ def test_cli_options_are_exactly_the_pinned_set():
             for name, sub in commands.items()} == CLI_OPTIONS
 
 
-def loaded_by_a_fresh_import(module: str) -> bool:
-    code = f"import sys, trajkit, trajkit.cli, trajkit.bench; print({module!r} in sys.modules)"
+def loaded_by_a_fresh_import(module: str, run: str = "") -> bool:
+    code = f"import sys, trajkit, trajkit.cli, trajkit.bench\n{run}\nprint({module!r} in sys.modules)"
     src = Path(trajkit.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
@@ -77,6 +77,26 @@ def test_the_library_never_loads_scipy():
 def test_only_a_pool_job_imports_the_process_pool():
     assert not loaded_by_a_fresh_import("concurrent.futures.process")
     assert not loaded_by_a_fresh_import("multiprocessing")
+
+
+#: The calls that reach geometry.distinct, exemplar's on unsorted indices.
+UNIQUE_CALLERS = """import numpy as np
+from trajkit import (DistanceSpec, Trajectory, affinity_propagation, compute_matrix, criteria,
+                     cut, exemplar, frechet, hca, sowd)
+walks = [Trajectory(f"t{k}", np.cumsum(np.random.default_rng(k).normal(size=(4 + k, 2)), axis=0))
+         for k in range(6)]
+frechet(walks[0].points, walks[1].points)
+sowd(walks[0].points, walks[1].points)
+m = compute_matrix(walks, DistanceSpec("frechet"))
+criteria(cut(hca(m, linkage="ward"), 3), m)
+exemplar([4, 1, 3, 1], m)
+affinity_propagation(m)"""
+
+
+def test_the_library_never_loads_numpy_ma():
+    # np.unique imports numpy.ma on its first call in a process, 13-16 ms;
+    # geometry.distinct gives its values without it.
+    assert not loaded_by_a_fresh_import("numpy.ma", UNIQUE_CALLERS)
 
 
 def sources():
@@ -141,6 +161,16 @@ def constant(node: ast.AST):
                for part in ast.walk(node)):
         return None
     return eval(compile(ast.Expression(node), "<constant>", "eval"), {"__builtins__": {}})
+
+
+def numpy_unique(node: ast.AST) -> str | None:
+    return "np.unique" if (isinstance(node, ast.Attribute) and node.attr == "unique"
+                           and isinstance(node.value, ast.Name) and node.value.id == "np") else None
+
+
+def test_the_library_never_calls_np_unique():
+    # np.unique loads numpy.ma; geometry.distinct gives the same values.
+    assert [site for name, tree in sources() for site in sites(tree, numpy_unique)] == []
 
 
 def test_one_working_set_budget():

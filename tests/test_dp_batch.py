@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trajkit import discrete_frechet, dlcss, dtw, edr, erp, lcss, warping
+from trajkit import discrete_frechet, dlcss, dtw, edr, erp, lcss, matrix, warping
 from trajkit.warping import PointStore
 
 from conftest import smooth_walk
@@ -71,15 +71,66 @@ def test_empty_inputs_follow_the_frozen_loops(name):
 @pytest.mark.parametrize("chunk", [1, 7, 100_000])
 @pytest.mark.parametrize("name", list(KERNELS))
 def test_batches_equal_the_frozen_loops_at_any_chunk_size(name, chunk, monkeypatch):
+    # The triangle with some pairs in both orders, and mixed-length pairs
+    # shuffled with one repeated: the sweep sorts pairs by shape.
     _, batch, params, frozen = KERNELS[name]
     seqs = sequences(107, 34)
     store = PointStore.pack(seqs)
     ia, ib = np.triu_indices(len(seqs), 1)
     ia, ib = np.concatenate([ia, ib[::5]]), np.concatenate([ib, ia[::5]])  # both orders
+    shuffled = np.random.default_rng(127).permutation(np.append(np.arange(100, 400), 250))  # 250 twice
     monkeypatch.setattr(warping, "CHUNK", chunk)
-    got = batch(store, ia, ib, *params)
+    for ia, ib in [(ia, ib), (ia[shuffled], ib[shuffled])]:
+        got = batch(store, ia, ib, *params)
+        want = np.array([frozen(seqs[i], seqs[j]) for i, j in zip(ia, ib)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_batches_are_symmetric_and_equal_the_frozen_loops_at_every_small_shape(name):
+    # Each pair runs with its shorter walk as the rows, and the table of
+    # (b, a) is the transpose of that of (a, b), bit for bit.
+    _, batch, params, frozen = KERNELS[name]
+    rng = np.random.default_rng(113)
+    lengths = [n for n in range(1 if name in EMPTY_REJECTED else 0, 13) for _ in range(2)]
+    seqs = [(np.round if k % 2 else np.asarray)(smooth_walk(rng, n, span=4.0)[:n])  # half on a grid
+            for k, n in enumerate(lengths)]
+    store = PointStore.pack(seqs)
+    ia, ib = np.triu_indices(len(seqs))
+    got, back = batch(store, ia, ib, *params), batch(store, ib, ia, *params)
     want = np.array([frozen(seqs[i], seqs[j]) for i, j in zip(ia, ib)], dtype=np.float64)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == back.tobytes() == want.tobytes()
+
+
+RULES = {"dtw": (warping._dtw, ()), "discrete_frechet": (warping._coupling, ()),
+         "lcss": (warping._lcss, (EPS,)), "edr": (warping._edr, (EPS,)), "erp": (warping._erp, (GAP,))}
+
+
+@pytest.mark.parametrize("n, size", [(64, 2016), (200, 4096)], ids=["triangle", "serial-ranges"])
+@pytest.mark.parametrize("name", list(RULES))
+def test_the_sweep_computes_few_more_cells_than_the_tables_hold(name, n, size):
+    # The kernels-serial pool's lengths, 8 to 23 points, on its triangle
+    # and on n = 200 cut into the serial ranges of compute_matrix. Pairs
+    # of one shape run together, and each anti-diagonal computes only the
+    # rows of its band: 1.32x and 1.24x.
+    rule, params = RULES[name]
+    store = PointStore.pack([np.zeros((8 + k % 16, 2)) for k in range(n)])
+    cells = []
+
+    def counted(*args):
+        corner, outside, cost, cell = rule(*args)
+
+        def counting(diag, up, left, c, out, rows, facing):
+            cells.append(out.size)
+            cell(diag, up, left, c, out, rows, facing)
+        return corner, outside, cost, counting
+
+    npairs, need = n * (n - 1) // 2, 0
+    for start in range(0, npairs, size):
+        ia, ib = matrix._pair_indices(n, start, min(start + size, npairs))
+        warping.sweep(counted, store, ia, ib, *params)
+        need += int(((store.lengths(ia) + 1) * (store.lengths(ib) + 1) - 1).sum())
+    assert need <= sum(cells) <= 1.5 * need
 
 
 def test_store_hands_back_the_packed_sequences():

@@ -6,7 +6,8 @@ import pytest
 from trajkit import (Trajectory, discrete_frechet, dlcss, dtw, edr, erp, frechet, frechet_candidates,
                      frechet_feasible, geometry, hausdorff, lcss, matrix, owd, project_wgs84, sowd,
                      spd, sspd)
-from trajkit.geometry import as_points, carrier_distances, segment_distances, segment_lengths
+from trajkit.geometry import (as_points, carrier_distances, distinct, segment_distances,
+                              segment_lengths)
 from trajkit.shape import owd_samples, sowd_batch
 from trajkit.sspd import sspd_batch
 from trajkit.warping import PointStore
@@ -189,6 +190,18 @@ class TestCarrierPairs:
             batch(store, ia, ib)
             need += int((measured.lengths(ia) + measured.lengths(ib)).sum())
         assert need <= sum(cells) <= 1.05 * need
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(5).integers(-20, 20, 300),
+    np.random.default_rng(6).integers(0, 4, 50).astype(np.float64) / 3.0,
+    np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.0, 1.5]),
+    np.array([-0.0, 0.0, 0.0]),
+    np.array([], dtype=np.int64),
+], ids=["ints", "float-repeats", "signed-zeros", "minus-zero-first", "empty"])
+def test_distinct_gives_the_bits_of_np_unique(values):
+    got, want = distinct(values), np.unique(values)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 class TestSegmentDistances:
