@@ -97,7 +97,6 @@ def segment_lengths(points: np.ndarray) -> np.ndarray:
     return np.hypot(*(points[1:] - points[:-1]).T)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in inf or NaN, which is refused
 def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Distance from each point to each segment, vectorised.
 
@@ -113,10 +112,19 @@ def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) 
         clamped to the segment; zero-length segments degrade to points, and
         segments too long to square, over about 1.3e154, give NaN).
     """
-    # The x and y parts run as separate arrays, in place: the same IEEE
-    # operations as an (m, k, 2) form with two-term einsum sums, so the same
-    # bits. The longer of m and k is the inner axis, which keeps numpy's inner
-    # loops long; the result may be a transposed view.
+    d = segment_squares(points, starts, ends)
+    return np.sqrt(d, out=d)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in inf or NaN, which is refused
+def segment_squares(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The square of :func:`segment_distances`, (m, k), whose root it takes.
+
+    The x and y parts run as separate arrays, in place: the same IEEE
+    operations as an (m, k, 2) form with two-term einsum sums, so the same
+    bits. The longer of m and k is the inner axis, which keeps numpy's inner
+    loops long; the result may be a transposed view.
+    """
     inner = points.shape[0] > starts.shape[0]
     px, py = (points[:, 0], points[:, 1]) if inner else (points[:, 0, None], points[:, 1, None])
     sx, sy = (starts[:, 0, None], starts[:, 1, None]) if inner else (starts[:, 0], starts[:, 1])
@@ -141,24 +149,26 @@ def segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) 
     e *= e
     t *= t
     e += t
-    np.sqrt(e, out=e)
     return e.T if inner else e
 
 
 _BLOCK = 1 << 16  # float64 values per temporary array of every blocked pass (512 KiB)
 
 
-def carrier_distances(points: np.ndarray, xy: np.ndarray, bounds) -> np.ndarray:
+def carrier_distances(points: np.ndarray, xy: np.ndarray, bounds, squares=segment_squares) -> np.ndarray:
     """Distance from each of the (m, 2) ``points`` to the nearest point of
     each polyline ``xy[bounds[c]:bounds[c + 1]]`` (at least 2 points each),
     as an (m, len(bounds) - 1) array.
 
-    The polylines lie end to end in ``xy``. One :func:`segment_distances`
-    call takes a block of rows against all their segments; the segments
-    that bridge two polylines are set to infinity, and each polyline's
-    minimum is one ``np.minimum.reduceat`` column. A block holds at most
-    ``_BLOCK`` point-segment pairs, so temporaries stay under 512 KiB each
-    for up to ``_BLOCK`` segments. A minimum does not depend on the blocking.
+    The polylines lie end to end in ``xy``. One ``squares(points, starts,
+    ends)`` call, :func:`segment_squares` by default, takes a block of rows
+    against all their segments; the segments that bridge two polylines are
+    set to infinity, and each polyline's minimum is one
+    ``np.minimum.reduceat`` column, whose root is taken once. ``sqrt`` is
+    monotone and correctly rounded, so that is the minimum of the roots, bit
+    for bit. A block holds at most ``_BLOCK`` point-segment pairs, so
+    temporaries stay under 512 KiB each for up to ``_BLOCK`` segments. A
+    minimum does not depend on the blocking.
     """
     bounds = np.asarray(bounds)
     lo, hi = bounds[0], bounds[-1]
@@ -167,10 +177,10 @@ def carrier_distances(points: np.ndarray, xy: np.ndarray, bounds) -> np.ndarray:
     rows = max(1, _BLOCK // len(starts))
     out = np.empty((len(points), len(firsts)))
     for r in range(0, len(points), rows):
-        d = segment_distances(points[r:r + rows], starts, ends)
+        d = squares(points[r:r + rows], starts, ends)
         d[:, bridges] = np.inf
         np.minimum.reduceat(d, firsts, axis=1, out=out[r:r + rows])
-    return out
+    return np.sqrt(out, out=out)
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -202,7 +212,7 @@ def _picks(values: np.ndarray, start: np.ndarray, stride: int, count: np.ndarray
 
 
 def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
-                  reduce) -> tuple[np.ndarray, np.ndarray]:
+                  reduce, squares=segment_squares) -> tuple[np.ndarray, np.ndarray]:
     """Point-to-carrier distances of pairs of packed sequences, reduced per pair.
 
     For pair k, ``reduce`` turns the distances from the points of
@@ -218,8 +228,8 @@ def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
     carriers at most ``_BLOCK`` unless the tile is one sequence. The span
     is cut into blocks of at most ``_BLOCK`` segments, and of at most
     ``_BLOCK`` points times carriers; each block with an entry is one
-    :func:`carrier_distances` call, whose forward entries and backward
-    entries are reduced apart.
+    :func:`carrier_distances` call with the point-to-segment ``squares``,
+    whose forward entries and backward entries are reduced apart.
 
     ``reduce(flat, walks, count)`` gets the distances of some entries end
     to end, the c-th entry's ``count[c]`` from the points of
@@ -251,7 +261,7 @@ def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
                                    bisect.bisect_right(col, col[c] + 1 + _BLOCK) - 1))
                 inside = (carrier[k0:k1] >= c) & (carrier[k0:k1] < e)
                 if inside.any():
-                    near = carrier_distances(points, carriers.xy, co[c:e + 1]).ravel()
+                    near = carrier_distances(points, carriers.xy, co[c:e + 1], squares).ravel()
                     for way in (forward[k0:k1], ~forward[k0:k1]):  # forward entries, then backward
                         k = k0 + np.flatnonzero(inside & way)
                         if len(k):

@@ -181,6 +181,10 @@ def _adopted(ids: tuple, kind: str, values: np.ndarray) -> DistanceMatrix:
 #: Failing pairs named in a MatrixComputationError; the rest are counted.
 _REPORTED_FAILURES = 10
 
+#: Pairs per range of the triangle, serial or pooled: each batch kernel
+#: runs a range at once, and a range is the unit a worker is handed.
+_RANGE = 4096
+
 _WORKER: dict = {}
 
 
@@ -284,10 +288,9 @@ def compute_matrix(
     if spec.name in _BATCH_PARAMS:
         params = _BATCH_PARAMS[spec.name](store, *params)
     job = (store, batch, params)
-    # A range is at most 16 DP batches, which keeps O(n^2) off every
-    # worker; where n is small, the pool gives each worker about 8 ranges.
-    cap = 16 * warping.CHUNK
-    size = cap if workers == 1 else min(cap, max(1, npairs // (workers * 8)))
+    # A range is at most _RANGE pairs, which keeps O(n^2) off every worker;
+    # where n is small, the pool gives each worker about 8 ranges.
+    size = _RANGE if workers == 1 else min(_RANGE, max(1, npairs // (workers * 8)))
     ranges = [(s, min(s + size, npairs)) for s in range(0, npairs, size)]
     flat = np.zeros(npairs)
     failures = []

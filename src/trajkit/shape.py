@@ -195,11 +195,8 @@ class _FreeSpace:
         Each is the stored quadratic at its clamped orthogonal projection
         parameter; these are the type-(b) critical values.
         """
-        tv = np.clip(-self.vb / np.where(self.qa > 0, 2 * self.qa, 1), 0.0, 1.0)
-        dv = np.sqrt(np.maximum(self.qa * tv ** 2 + self.vb * tv + self.vc, 0.0))
-        th = np.clip(-self.hb / np.where(self.pa > 0, 2 * self.pa, 1), 0.0, 1.0)
-        dh = np.sqrt(np.maximum(self.pa * th ** 2 + self.hb * th + self.hc, 0.0))
-        return dv, dh
+        return (np.sqrt(_clamped_quadratic(self.qa, self.vb, self.vc)),
+                np.sqrt(_clamped_quadratic(self.pa, self.hb, self.hc)))
 
     def critical_values(self, near: tuple[np.ndarray, np.ndarray], lo: float, hi: float) -> np.ndarray:
         """Alt & Godau's critical radii in [lo, hi], sorted and unique: (a)
@@ -214,6 +211,38 @@ class _FreeSpace:
             vals += _equidistant(self.pa, self.hb, self.hc, lo, hi)
         vals = np.concatenate(vals)
         return distinct(vals[(vals >= lo) & (vals <= hi)])
+
+
+def _clamped_quadratic(a2, b, c):
+    """max(a2*t^2 + b*t + c, 0) at t = -b / (2*a2) clamped to [0, 1], t = 0
+    where a2 is 0: the squared distance from a vertex to a segment, from
+    the segment's squared length and the boundary coefficients."""
+    t = np.negative(b)
+    t /= np.where(a2 > 0, 2 * a2, 1)
+    np.clip(t, 0.0, 1.0, out=t)
+    q = t * t
+    q *= a2
+    t *= b
+    q += t
+    q += c
+    return np.maximum(q, 0.0, out=q)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # bridges to a far walk overflow; they are set aside
+def _near_squares(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Squared vertex-to-segment distances, (m, k), as :meth:`_FreeSpace.near`
+    squares them: its coefficients on x and y planes, the same IEEE
+    operations as their two-term einsum sums up to the sign of a zero ``b``,
+    which gives the same square."""
+    dx, dy = ends[:, 0] - starts[:, 0], ends[:, 1] - starts[:, 1]
+    wx, wy = starts[:, 0] - points[:, 0, None], starts[:, 1] - points[:, 1, None]
+    b = wx * dx
+    b += wy * dy
+    b *= 2.0
+    wx *= wx
+    wy *= wy
+    wx += wy
+    return _clamped_quadratic(dx * dx + dy * dy, b, wx)
 
 
 _BAND = 1 << 10  # cells whose boundary intervals a decision computes in one step
@@ -239,12 +268,16 @@ def _equidistant(a2: np.ndarray, b: np.ndarray, c: np.ndarray, lo: float, hi: fl
     return out
 
 
-def _lower_bound(fs: _FreeSpace, near: tuple[np.ndarray, np.ndarray]) -> float:
-    """The endpoint distances and each vertex's distance to the other
-    carrier, whichever is largest: every traversal passes each vertex at
-    least that far from the other curve. It is itself a critical value."""
-    dv, dh = near
-    return max(fs.d_start, fs.d_end, float(dv.min(axis=1).max()), float(dh.min(axis=1).max()))
+def _lower_bounds(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> list[float]:
+    """For each pair, the endpoint distances and each vertex's distance to
+    the other carrier, whichever is largest: every traversal passes each
+    vertex at least that far from the other curve. It is itself a critical
+    value. The vertex distances of all pairs come from one carrier pass."""
+    fwd, bwd = carrier_pairs(store, store, ia, ib, _maxima, _near_squares)
+    ends = [store.xy[at].tolist() for at in (store.offsets[ia], store.offsets[ib],
+                                             store.offsets[ia + 1] - 1, store.offsets[ib + 1] - 1)]
+    return [max(math.dist(p0, q0), math.dist(p1, q1), f, b)
+            for p0, q0, p1, q1, f, b in zip(*ends, fwd.tolist(), bwd.tolist())]
 
 
 def frechet_candidates(t1, t2) -> np.ndarray:
@@ -254,8 +287,8 @@ def frechet_candidates(t1, t2) -> np.ndarray:
     store = PointStore.pack([t1, t2])
     store.require_carriers(*_PAIR, "frechet: needs trajectories with at least 2 points")
     fs = _FreeSpace(store[0], store[1])
-    near = fs.near()
-    return fs.critical_values(near, _lower_bound(fs, near), discrete_frechet(store[0], store[1]))
+    return fs.critical_values(fs.near(), _lower_bounds(store, *_PAIR)[0],
+                              discrete_frechet(store[0], store[1]))
 
 
 def frechet_feasible(t1, t2, eps: float) -> bool:
@@ -274,11 +307,12 @@ def frechet_feasible(t1, t2, eps: float) -> bool:
     return _FreeSpace(store[0], store[1]).feasible(radius)
 
 
-def _frechet_pair(p: np.ndarray, q: np.ndarray, upper: float) -> float:
-    """The smallest of the critical values from the pair's lower bound up to
-    ``upper``, its discrete Frechet distance, and ``upper`` itself that the
-    decision accepts; ``upper`` where the bounds meet or it accepts none.
-    The lower bound's decision runs before any type-(c) value is enumerated.
+def _frechet_pair(p: np.ndarray, q: np.ndarray, lower: float, upper: float) -> float:
+    """The smallest of the critical values from the pair's lower bound
+    ``lower`` up to ``upper``, its discrete Frechet distance, and ``upper``
+    itself that the decision accepts, where ``lower < upper``; ``upper`` if
+    it accepts none. The lower bound's decision runs before any critical
+    value is enumerated.
 
     The decision switches about 1e-12 below a value it computes well. If it
     also accepts 2e-12 below the value found (and above the previous one, or
@@ -293,14 +327,10 @@ def _frechet_pair(p: np.ndarray, q: np.ndarray, upper: float) -> float:
     those with ``max`` and the same tests, only grow, as does the final test.
     """
     fs = _FreeSpace(p, q)
-    near = fs.near()
-    lower = _lower_bound(fs, near)
-    if upper <= lower:
-        return upper
     if fs.feasible(lower):
         lo, value = max(fs.d_start, fs.d_end), lower
     else:
-        crit = distinct(np.append(fs.critical_values(near, lower, upper), upper))
+        crit = distinct(np.append(fs.critical_values(fs.near(), lower, upper), upper))
         lo_i, hi_i = 0, len(crit)  # crit[0] is lower, rejected; len(crit): none accepted
         while hi_i - lo_i > 1:
             mid = (lo_i + hi_i) // 2
@@ -323,11 +353,14 @@ def _frechet_pair(p: np.ndarray, q: np.ndarray, upper: float) -> float:
 
 
 def frechet_batch(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """frechet of each pair (ia[k], ib[k]) of sequences of ``store``."""
+    """frechet of each pair (ia[k], ib[k]) of sequences of ``store``. A
+    pair whose discrete Frechet distance is no larger than its lower bound
+    has that distance, and builds no free space."""
     store.require_carriers(ia, ib, "frechet: needs trajectories with at least 2 points")
     upper = warping.coupling_batch(store, ia, ib).tolist()
-    return np.array([_frechet_pair(store[i], store[j], up)
-                     for i, j, up in zip(ia.tolist(), ib.tolist(), upper)])
+    lower = _lower_bounds(store, ia, ib)
+    return np.array([up if up <= low else _frechet_pair(store[i], store[j], low, up)
+                     for i, j, low, up in zip(ia.tolist(), ib.tolist(), lower, upper)])
 
 
 def frechet(t1, t2) -> float:

@@ -25,7 +25,7 @@ __all__ = ["dlcss", "dtw", "edr", "erp", "lcss"]
 
 #: Pairs per batch. A batch costs about as much as its longest sequences,
 #: whatever its size, so fixed-size batches keep matrix time per pair flat.
-CHUNK = 256
+CHUNK = 512
 _PAD = np.array([[0.0, 0.0], [np.inf, np.inf]])
 
 
@@ -67,6 +67,7 @@ def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(d[0] + d[1])
 
 
+@np.errstate(over="ignore")  # a distance that overflows is inf, and a cell rule reads it as such
 def sweep(rule, store: PointStore, ia: np.ndarray, ib: np.ndarray, *params) -> np.ndarray:
     """Cell T[n][m] of the DP table of ``rule`` for each pair (ia[k], ib[k]).
 

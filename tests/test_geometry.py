@@ -8,7 +8,7 @@ from trajkit import (Trajectory, discrete_frechet, dlcss, dtw, edr, erp, frechet
                      spd, sspd)
 from trajkit.geometry import (as_points, carrier_distances, distinct, segment_distances,
                               segment_lengths)
-from trajkit.shape import owd_samples, sowd_batch
+from trajkit.shape import frechet_batch, owd_samples, sowd_batch
 from trajkit.sspd import sspd_batch
 from trajkit.warping import PointStore
 
@@ -165,9 +165,19 @@ class TestCarrierPairs:
         assert got[1] == sspd(a, b)
         assert not np.isfinite(got[[0, 2]]).any()
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_far_walk_packed_between_two_near_ones_changes_no_frechet_pair(self):
+        # frechet's vertex-to-carrier pass squares the bridges to the far
+        # walk too; the near pair still gets its single-pair bits.
+        a, b = [(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)], [(0.0, 1.0), (1.0, 1.2), (2.0, 1.0), (3.0, 1.0)]
+        store = PointStore.pack([a, [(1e200, 0.0), (1e200, 1.0)], b])
+        got = frechet_batch(store, np.array([0, 0, 1]), np.array([1, 2, 2]))
+        assert got[1].view(np.int64) == np.float64(frechet(a, b)).view(np.int64)
+        assert not np.isfinite(got[[0, 2]]).any()
+
     @pytest.mark.parametrize("n, size", [(64, 2016), (200, 4096), (200, 1243)],
                              ids=["triangle", "serial-ranges", "pool-ranges"])
-    @pytest.mark.parametrize("name", ["sspd", "sowd"])
+    @pytest.mark.parametrize("name", ["sspd", "sowd", "frechet"])
     def test_tiles_measure_few_more_cells_than_the_pairs_need(self, name, n, size, monkeypatch):
         # A pair needs each walk's points against the other's carrier. Tiles
         # of consecutive walks with the same span of carriers measure each
@@ -176,12 +186,13 @@ class TestCarrierPairs:
         store = PointStore.pack([smooth_walk(rng, int(rng.integers(8, 24))) for _ in range(n)])
         samples = owd_samples(store, 1.0)
         batch, measured = {"sspd": (sspd_batch, store),
-                           "sowd": (lambda *pair: sowd_batch(*pair, samples), samples.points)}[name]
+                           "sowd": (lambda *pair: sowd_batch(*pair, samples), samples.points),
+                           "frechet": (frechet_batch, store)}[name]
         cells = []
 
-        def counted(points, xy, bounds):
+        def counted(points, xy, bounds, squares):
             cells.append(len(points) * (len(bounds) - 1))
-            return np.zeros((len(points), len(bounds) - 1))
+            return carrier_distances(points, xy, bounds, squares)
 
         monkeypatch.setattr(geometry, "carrier_distances", counted)
         npairs, need = n * (n - 1) // 2, 0

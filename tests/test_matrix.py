@@ -2,6 +2,7 @@ import csv
 import itertools
 import multiprocessing
 import os
+import resource
 import signal
 import struct
 import subprocess
@@ -17,7 +18,7 @@ from trajkit import (DistanceMatrix, DistanceSpec, MatrixComputationError,
                      MatrixFormatError, Trajectory, compute_matrix, discrete_frechet, dlcss, dtw,
                      edr, erp, frechet, hausdorff, hca, lcss, load_matrix, owd, save_matrix,
                      save_matrix_csv, sowd, spd, sspd)
-from trajkit import geometry, matrix, warping
+from trajkit import geometry, matrix
 from trajkit.matrix import DISTANCE_NAMES
 
 from conftest import DIRECT, walk_trajectory
@@ -417,6 +418,22 @@ class TestComputeMatrix:
                 with pytest.raises(ValueError, match="^owd: too many samples at 1.0 per unit length$"):
                     call(a, b)
 
+    @pytest.mark.parametrize("name, call, want", [
+        ("edr", lambda a, b: edr(a, b, 1.0), 3), ("lcss", lambda a, b: lcss(a, b, 1.0), 0),
+        ("dlcss", lambda a, b: dlcss(a, b, 1.0), 1.0), ("dtw", dtw, None),
+        ("erp", lambda a, b: erp(a, b, (0.0, 0.0)), None),
+        ("discrete_frechet", discrete_frechet, None), ("frechet", frechet, None)])
+    def test_a_far_walk_warns_nothing_before_its_value_or_refusal(self, name, call, want):
+        # Squared differences of 1e200 overflow. The matching distances still
+        # hold their values and the others refuse, with no RuntimeWarning first.
+        far, near = [(1e200, 0.0), (1e200, 1.0)], [(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)]
+        for pair in ((far, near), (near, far)):
+            if want is None:
+                with pytest.raises(ValueError, match=f"^{name}: non-finite distance inf$"):
+                    call(*pair)
+            else:
+                assert call(*pair) == want
+
     def test_failure_report_is_capped(self):
         fleet = small_fleet(n=12)
         stuck = Trajectory(id="stuck", points=[(1.0, 1.0), (1.0, 1.0)])
@@ -466,7 +483,7 @@ class TestComputeMatrix:
         eval_range = matrix._eval_range
 
         def bounded(job, bounds):
-            assert bounds[1] - bounds[0] <= 16 * warping.CHUNK, bounds
+            assert bounds[1] - bounds[0] <= matrix._RANGE == 4096, bounds
             return eval_range(job, bounds)
         monkeypatch.setattr(matrix, "_eval_range", bounded)  # fork carries it into the workers
         rng = np.random.default_rng(239)
@@ -671,13 +688,21 @@ def test_workers_speed_up_large_matrices():
     # Interleaved rounds: each ratio compares runs that saw the same host speed,
     # and the median drops rounds disturbed by other load on a shared host.
     serial, parallel = [], []
+    # The workers' CPU seconds in each parallel run, beside its wall time,
+    # tell a pool that had no second core from one that was slow.
+    cpu = []
     for _ in range(5):
         for w, times in ((1, serial), (workers, parallel)):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
             t0 = time.perf_counter()
             compute_matrix(fleet, "sspd", workers=w)
             times.append(time.perf_counter() - t0)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            if w > 1:  # the pool is joined before compute_matrix returns
+                cpu.append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
     ratio = float(np.median(np.divide(parallel, serial)))
     assert ratio <= bound, (
         f"{workers} workers on {cores} usable cores: median parallel/serial "
         f"{ratio:.3f} > bound {bound:.3f}; serial s {np.round(serial, 3).tolist()}, "
-        f"parallel s {np.round(parallel, 3).tolist()}")
+        f"parallel s {np.round(parallel, 3).tolist()}, "
+        f"workers' CPU s {np.round(cpu, 3).tolist()}")

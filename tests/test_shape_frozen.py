@@ -82,6 +82,56 @@ def test_frechet_is_the_exact_value_and_runs_only_frozen_decisions(monkeypatch):
     assert np.mean(counts) <= 8
 
 
+def per_pair_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """The lower bound from one pair's own free space: its endpoint and
+    vertex-to-segment distances."""
+    fs = shape._FreeSpace(a, b)
+    dv, dh = fs.near()
+    return max(fs.d_start, fs.d_end, float(dv.min(axis=1).max()), float(dh.min(axis=1).max()))
+
+
+def bound_pairs():
+    return pairs(131, 30) + [(a, b) for a, b, _ in overlapping_pairs()]
+
+
+def test_the_packed_lower_bounds_are_the_per_pair_bounds_bit_for_bit():
+    # One carrier pass over all pairs, on x and y planes, against each pair's
+    # einsum coefficients: the sign of a zero vb is all that may differ, and
+    # it does not reach a bound. The triangle of distinct walks puts several
+    # walks in a tile; the paired layout puts one.
+    both = bound_pairs()
+    want = np.array([per_pair_bound(a, b) for a, b in both])
+    store = PointStore.pack([a for a, _ in both] + [b for _, b in both])
+    ia = np.arange(len(both))
+    got = np.array(shape._lower_bounds(store, ia, ia + len(both)))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    seqs = walks(131, 30) + [x for pair in DEGENERATE for x in pair]
+    ia, ib = np.triu_indices(len(seqs), 1)
+    want = np.array([per_pair_bound(seqs[i], seqs[j]) for i, j in zip(ia, ib)])
+    got = np.array(shape._lower_bounds(PointStore.pack(seqs), ia, ib))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_free_space_is_built_only_where_the_bounds_differ(monkeypatch):
+    # A pair whose discrete Frechet distance is at most its lower bound has
+    # that distance, with no free space, no near() and no decision.
+    both = bound_pairs()
+    differ = [discrete_frechet(a, b) > per_pair_bound(a, b) for a, b in both]
+    built = []
+    free_space = shape._FreeSpace
+
+    def counted(p, q):
+        built.append((p.tobytes(), q.tobytes()))
+        return free_space(p, q)
+
+    monkeypatch.setattr(shape, "_FreeSpace", counted)
+    store = PointStore.pack([a for a, _ in both] + [b for _, b in both])
+    ia = np.arange(len(both))
+    frechet_batch(store, ia, ia + len(both))
+    assert 0 < sum(differ) < len(both)
+    assert built == [(a.tobytes(), b.tobytes()) for (a, b), d in zip(both, differ) if d]
+
+
 def test_frechet_of_near_identical_walks_is_at_most_the_discrete_value():
     # Walks 1e-9 apart lie closer than the free space resolves; the
     # discrete Frechet distance still bounds the value from above.
