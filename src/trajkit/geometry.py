@@ -205,10 +205,12 @@ def window_sums(values: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> n
 
 
 def _picks(values: np.ndarray, start: np.ndarray, stride: int, count: np.ndarray) -> np.ndarray:
-    """``values[start[k] + r * stride]`` for r < count[k], for each k in turn."""
-    k = np.repeat(np.arange(len(count)), count)
-    r = np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
-    return values[start[k] + r * stride]
+    """``values[start[k] + r * stride]`` for r < count[k], for each k in turn:
+    pick i = first[k] + r is at ``i * stride + start[k] - first[k] * stride``."""
+    at = np.arange(count.sum())
+    at *= stride
+    at += np.repeat(start - (np.cumsum(count) - count) * stride, count)
+    return values[at]
 
 
 def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
@@ -229,7 +231,7 @@ def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
     is cut into blocks of at most ``_BLOCK`` segments, and of at most
     ``_BLOCK`` points times carriers; each block with an entry is one
     :func:`carrier_distances` call with the point-to-segment ``squares``,
-    whose forward entries and backward entries are reduced apart.
+    and one ``reduce`` call over the block's entries.
 
     ``reduce(flat, walks, count)`` gets the distances of some entries end
     to end, the c-th entry's ``count[c]`` from the points of
@@ -239,7 +241,7 @@ def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
     mol, col = mo.tolist(), co.tolist()
     walk, carrier = np.concatenate([ia, ib]), np.concatenate([ib, ia])
     order = np.lexsort((carrier, walk))
-    walk, carrier, forward = walk[order], carrier[order], order < len(ia)
+    walk, carrier = walk[order], carrier[order]
     count = mo[walk + 1] - mo[walk]
     heads = np.flatnonzero(np.diff(walk, prepend=-1))  # each measured sequence's first entry
     tails = np.append(heads[1:], len(walk))
@@ -262,11 +264,9 @@ def carrier_pairs(measured, carriers, ia: np.ndarray, ib: np.ndarray,
                 inside = (carrier[k0:k1] >= c) & (carrier[k0:k1] < e)
                 if inside.any():
                     near = carrier_distances(points, carriers.xy, co[c:e + 1], squares).ravel()
-                    for way in (forward[k0:k1], ~forward[k0:k1]):  # forward entries, then backward
-                        k = k0 + np.flatnonzero(inside & way)
-                        if len(k):
-                            start = (mo[walk[k]] - mol[a]) * (e - c) + carrier[k] - c
-                            out[order[k]] = reduce(_picks(near, start, e - c, count[k]), walk[k], count[k])
+                    k = k0 + np.flatnonzero(inside)
+                    start = (mo[walk[k]] - mol[a]) * (e - c) + carrier[k] - c
+                    out[order[k]] = reduce(_picks(near, start, e - c, count[k]), walk[k], count[k])
                 c = e
             r = s
     return out[:len(ia)], out[len(ia):]

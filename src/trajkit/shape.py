@@ -63,21 +63,30 @@ def discrete_frechet(t1, t2) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_coefficients(p: np.ndarray, q: np.ndarray, dq: np.ndarray) -> tuple:
-    """b[i, j] = 2 (q[j] - p[i]) . dq[j] and c[i, j] = |q[j] - p[i]|^2: the
-    linear and constant terms of the boundaries pairing vertex i of p with
-    segment j of q. The (rows, m-1, 2) differences exist for a band of about
-    geometry._BLOCK cells at a time; einsum gives each element the same bits
-    on a band as on the whole array."""
-    b = np.empty((p.shape[0], dq.shape[0]))
+def _quadratics(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """a2, (k,), and b and c, (m, k): the squared distance from points[i] to
+    the point at t on the segment from starts[j] to ends[j] is
+    a2[j]*t^2 + b[i, j]*t + c[i, j]. The x and y parts run as separate
+    arrays, a band of about geometry._BLOCK cells at a time, c's band holding
+    b's y part until it is c: the IEEE operations of two-term einsum sums,
+    which start from +0.0, so a zero b is +0.0 as they give it."""
+    dx, dy = ends[:, 0] - starts[:, 0], ends[:, 1] - starts[:, 1]
+    b = np.empty((points.shape[0], starts.shape[0]))
     c = np.empty_like(b)
-    band = max(1, geometry._BLOCK // q.shape[0])
-    for i0 in range(0, p.shape[0], band):
-        w = q[:-1][None, :, :] - p[i0:i0 + band, None, :]
-        np.einsum("ijc,jc->ij", w, dq, out=b[i0:i0 + band])
-        np.einsum("ijc,ijc->ij", w, w, out=c[i0:i0 + band])
-    b *= 2.0
-    return b, c
+    band = max(1, geometry._BLOCK // starts.shape[0])
+    for i0 in range(0, points.shape[0], band):
+        bb, cb = b[i0:i0 + band], c[i0:i0 + band]
+        wx = starts[:, 0] - points[i0:i0 + band, 0, None]
+        wy = starts[:, 1] - points[i0:i0 + band, 1, None]
+        np.multiply(wx, dx, out=bb)
+        np.multiply(wy, dy, out=cb)
+        bb += cb
+        bb *= 2.0
+        bb += 0.0  # -0.0 becomes +0.0
+        wx *= wx
+        wy *= wy
+        np.add(wx, wy, out=cb)
+    return dx * dx + dy * dy, b, c
 
 
 def _intervals(a2, b, c0, eps2: float) -> tuple[list, list]:
@@ -111,12 +120,8 @@ class _FreeSpace:
     def __init__(self, p: np.ndarray, q: np.ndarray) -> None:
         self.n = p.shape[0]
         self.m = q.shape[0]
-        dq = q[1:] - q[:-1]  # (m-1, 2)
-        dp = p[1:] - p[:-1]  # (n-1, 2)
-        self.qa = np.einsum("jc,jc->j", dq, dq)  # (m-1,)
-        self.pa = np.einsum("ic,ic->i", dp, dp)  # (n-1,)
-        self.vb, self.vc = _boundary_coefficients(p, q, dq)  # (n, m-1)
-        self.hb, self.hc = _boundary_coefficients(q, p, dp)  # (m, n-1)
+        self.qa, self.vb, self.vc = _quadratics(p, q[:-1], q[1:])  # (m-1,), (n, m-1)
+        self.pa, self.hb, self.hc = _quadratics(q, p[:-1], p[1:])  # (n-1,), (m, n-1)
         self.d_start = math.dist(p[0], q[0])
         self.d_end = math.dist(p[-1], q[-1])
 
@@ -198,13 +203,13 @@ class _FreeSpace:
         return (np.sqrt(_clamped_quadratic(self.qa, self.vb, self.vc)),
                 np.sqrt(_clamped_quadratic(self.pa, self.hb, self.hc)))
 
-    def critical_values(self, near: tuple[np.ndarray, np.ndarray], lo: float, hi: float) -> np.ndarray:
+    def critical_values(self, lo: float, hi: float) -> np.ndarray:
         """Alt & Godau's critical radii in [lo, hi], sorted and unique: (a)
-        the endpoint distances, (b) the vertex-to-segment distances
-        ``near``, and (c) on each segment, the distance to two vertices
+        the endpoint distances, (b) the vertex-to-segment distances of
+        :meth:`near`, and (c) on each segment, the distance to two vertices
         k < l of the other curve from the point equidistant to both, where
         it lies on the segment (t = (c_l - c_k) / (b_k - b_l) in [0, 1])."""
-        dv, dh = near
+        dv, dh = self.near()
         vals = [np.array([self.d_start, self.d_end]), dv.ravel(), dh.ravel()]
         with np.errstate(divide="ignore", invalid="ignore"):
             vals += _equidistant(self.qa, self.vb, self.vc, lo, hi)
@@ -231,18 +236,8 @@ def _clamped_quadratic(a2, b, c):
 @np.errstate(over="ignore", invalid="ignore")  # bridges to a far walk overflow; they are set aside
 def _near_squares(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Squared vertex-to-segment distances, (m, k), as :meth:`_FreeSpace.near`
-    squares them: its coefficients on x and y planes, the same IEEE
-    operations as their two-term einsum sums up to the sign of a zero ``b``,
-    which gives the same square."""
-    dx, dy = ends[:, 0] - starts[:, 0], ends[:, 1] - starts[:, 1]
-    wx, wy = starts[:, 0] - points[:, 0, None], starts[:, 1] - points[:, 1, None]
-    b = wx * dx
-    b += wy * dy
-    b *= 2.0
-    wx *= wx
-    wy *= wy
-    wx += wy
-    return _clamped_quadratic(dx * dx + dy * dy, b, wx)
+    squares them, from the same quadratics."""
+    return _clamped_quadratic(*_quadratics(points, starts, ends))
 
 
 _BAND = 1 << 10  # cells whose boundary intervals a decision computes in one step
@@ -281,14 +276,14 @@ def _lower_bounds(store: PointStore, ia: np.ndarray, ib: np.ndarray) -> list[flo
 
 
 def frechet_candidates(t1, t2) -> np.ndarray:
-    """The radii :func:`frechet` searches: the Alt-Godau critical values
-    from the pair's lower bound (endpoint and vertex-to-carrier distances)
-    up to its discrete Frechet distance, sorted ascending."""
+    """The Alt-Godau critical values from the pair's lower bound (endpoint
+    and vertex-to-carrier distances) up to its discrete Frechet distance,
+    sorted ascending. :func:`frechet` searches these and the discrete
+    Frechet distance itself, which need not be one of them."""
     store = PointStore.pack([t1, t2])
     store.require_carriers(*_PAIR, "frechet: needs trajectories with at least 2 points")
     fs = _FreeSpace(store[0], store[1])
-    return fs.critical_values(fs.near(), _lower_bounds(store, *_PAIR)[0],
-                              discrete_frechet(store[0], store[1]))
+    return fs.critical_values(_lower_bounds(store, *_PAIR)[0], discrete_frechet(store[0], store[1]))
 
 
 def frechet_feasible(t1, t2, eps: float) -> bool:
@@ -330,7 +325,7 @@ def _frechet_pair(p: np.ndarray, q: np.ndarray, lower: float, upper: float) -> f
     if fs.feasible(lower):
         lo, value = max(fs.d_start, fs.d_end), lower
     else:
-        crit = distinct(np.append(fs.critical_values(fs.near(), lower, upper), upper))
+        crit = distinct(np.append(fs.critical_values(lower, upper), upper))
         lo_i, hi_i = 0, len(crit)  # crit[0] is lower, rejected; len(crit): none accepted
         while hi_i - lo_i > 1:
             mid = (lo_i + hi_i) // 2
@@ -451,7 +446,8 @@ def _integrals(samples: OwdSamples, flat: np.ndarray, walks: np.ndarray, n: np.n
     rank = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
     piece = samples.first[walks][pair] + rank
     base = np.cumsum(n) - n
-    traps = 1.0 * (flat[1:] + flat[:-1]) / 2.0
+    traps = flat[1:] + flat[:-1]
+    traps /= 2.0
     terms = np.zeros((len(walks), int(count.max())))
     terms[pair, rank] = window_sums(traps, base[pair] + samples.start[piece],
                                     samples.width[piece]) * samples.scale[piece]

@@ -478,7 +478,7 @@ class TestComputeMatrix:
         os.killpg(proc.pid, signal.SIGINT)  # as a terminal's Ctrl-C does
         assert ended_within(proc, timeout=3.0) == "interrupted []\n"
 
-    def test_pool_ranges_hold_at_most_16_dp_batches(self, monkeypatch):
+    def test_pool_ranges_hold_at_most_RANGE_pairs(self, monkeypatch):
         # A range's memory grows with its size, so no range may grow with n^2.
         eval_range = matrix._eval_range
 
@@ -686,12 +686,13 @@ def test_workers_speed_up_large_matrices():
     # hold 4,096 pairs, as its serial ones do.
     fleet = small_fleet(seed=227, n=600, points=10)
     # Interleaved rounds: each ratio compares runs that saw the same host speed,
-    # and the median drops rounds disturbed by other load on a shared host.
+    # and the median of nine drops up to four rounds disturbed by other load
+    # on a shared host.
     serial, parallel = [], []
     # The workers' CPU seconds in each parallel run, beside its wall time,
     # tell a pool that had no second core from one that was slow.
     cpu = []
-    for _ in range(5):
+    for _ in range(9):
         for w, times in ((1, serial), (workers, parallel)):
             before = resource.getrusage(resource.RUSAGE_CHILDREN)
             t0 = time.perf_counter()

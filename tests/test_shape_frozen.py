@@ -95,10 +95,10 @@ def bound_pairs():
 
 
 def test_the_packed_lower_bounds_are_the_per_pair_bounds_bit_for_bit():
-    # One carrier pass over all pairs, on x and y planes, against each pair's
-    # einsum coefficients: the sign of a zero vb is all that may differ, and
-    # it does not reach a bound. The triangle of distinct walks puts several
-    # walks in a tile; the paired layout puts one.
+    # One carrier pass over all pairs, in tiles of many walks' vertices
+    # against many carriers, against each pair's own free space: the bounds
+    # are the same maxima of the same squares. The triangle of distinct
+    # walks puts several walks in a tile; the paired layout puts one.
     both = bound_pairs()
     want = np.array([per_pair_bound(a, b) for a, b in both])
     store = PointStore.pack([a for a, _ in both] + [b for _, b in both])
@@ -186,8 +186,7 @@ def test_feasibility_is_monotone_in_the_radius():
     # radius where the decision can switch, it never goes from True back to False.
     for a, b in pairs(137, 15):
         fs = shape._FreeSpace(a, b)
-        near = fs.near()
-        crit = fs.critical_values(near, 0.0, np.inf)
+        crit = fs.critical_values(0.0, np.inf)
         radii = np.concatenate([FrozenFreeSpace(a, b).candidates(), crit, [frechet(a, b)]])
         switch = crit / (1.0 + 1e-12)
         radii = np.concatenate([radii, np.nextafter(radii, -np.inf), np.nextafter(radii, np.inf),
@@ -222,9 +221,12 @@ def test_feasibility_equals_the_frozen_decision_at_candidate_values(band, monkey
 def test_coefficients_equal_the_frozen_arrays_in_bands_of_any_size(cells, monkeypatch):
     # Bands of one row, of 7 rows against a 30-point walk, and the default,
     # which holds these short walks whole and splits the 400 x 250 pair.
+    # Walks that start at one point, the second heading down and left, give
+    # vb[0, 0] = 0 * -1 + 0 * -2, a -0.0 where einsum's sum is +0.0.
     monkeypatch.setattr(geometry, "_BLOCK", cells)
     rng = np.random.default_rng(175)
-    for a, b in pairs(137, 15) + [(smooth_walk(rng, 400), smooth_walk(rng, 250))]:
+    shared = (np.array([(0.0, 0.0), (1.0, 1.0)]), np.array([(0.0, 0.0), (-1.0, -2.0)]))
+    for a, b in pairs(137, 15) + [shared, (smooth_walk(rng, 400), smooth_walk(rng, 250))]:
         fs, frozen = shape._FreeSpace(a, b), FrozenFreeSpace(a, b)
         for name in ("qa", "pa", "vb", "vc", "hb", "hc"):
             assert getattr(fs, name).tobytes() == getattr(frozen, name).tobytes(), name
@@ -232,11 +234,11 @@ def test_coefficients_equal_the_frozen_arrays_in_bands_of_any_size(cells, monkey
 
 def test_critical_values_are_the_same_in_blocks_of_any_size(monkeypatch):
     spaces = [shape._FreeSpace(a, b) for a, b in pairs(137, 15)]
-    whole = [fs.critical_values(fs.near(), 0.0, np.inf) for fs in spaces]
+    whole = [fs.critical_values(0.0, np.inf) for fs in spaces]
     for block in (1, 100):
         monkeypatch.setattr(geometry, "_BLOCK", block)
         for fs, want in zip(spaces, whole):
-            assert np.array_equal(fs.critical_values(fs.near(), 0.0, np.inf), want)
+            assert np.array_equal(fs.critical_values(0.0, np.inf), want)
 
 
 @pytest.mark.parametrize("density", [0.37, 1.0, 4.0])
